@@ -34,68 +34,59 @@ __all__ = [
 ]
 
 
+class CycleCounts:
+    """Sparse map length -> multiplicity >= 1 over the lengths [1, size].
+
+    Base of CycleStructure and PoissonCounts; subclasses are dataclasses
+    holding `counts` and defining `size`.
+    """
+
+    def __post_init__(self):
+        size = self.size
+        if size < 1:
+            raise InvalidArgumentError(f"size must be >= 1, got {size}")
+        for ell, c in self.counts.items():
+            if ell < 1 or ell > size:
+                raise InvalidArgumentError(f"cycle length {ell} outside [1, {size}]")
+            if c < 1:
+                raise InvalidArgumentError(f"stored multiplicity must be >= 1, got {c}")
+
+    def as_arrays(self):
+        lengths = np.array(sorted(self.counts), dtype=np.int64)
+        counts = np.array([self.counts[int(l)] for l in lengths], dtype=np.int64)
+        return lengths, counts
+
+    @property
+    def total_cycles(self):
+        return sum(self.counts.values())
+
+
 @dataclass
-class CycleStructure:
+class CycleStructure(CycleCounts):
     """Cycle type of a permutation of [n]: sparse map length -> count >= 1."""
 
     n: int
     counts: dict = field(default_factory=dict)
 
+    @property
+    def size(self):
+        return self.n
+
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError("permutation size n must be >= 1")
-        total = 0
-        for ell, c in self.counts.items():
-            if ell < 1 or ell > self.n:
-                raise InvalidArgumentError(f"cycle length {ell} outside [1, {self.n}]")
-            if c < 1:
-                raise InvalidArgumentError(f"stored multiplicity must be >= 1, got {c}")
-            total += ell * c
+        super().__post_init__()
+        total = sum(ell * c for ell, c in self.counts.items())
         if total != self.n:
             raise InvalidArgumentError(
                 f"cycle lengths sum to {total}, expected n = {self.n}"
             )
 
-    def as_arrays(self):
-        lengths = np.array(sorted(self.counts), dtype=np.int64)
-        counts = np.array([self.counts[int(l)] for l in lengths], dtype=np.int64)
-        return lengths, counts
-
-    @property
-    def total_cycles(self):
-        return sum(self.counts.values())
-
-    @property
-    def size(self):
-        return self.n
-
 
 @dataclass
-class PoissonCounts:
+class PoissonCounts(CycleCounts):
     """Independent Poisson(1/length) surrogate counts, stored sparsely."""
 
     max_len: int
     counts: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.max_len < 1:
-            raise InvalidArgumentError("max_len must be >= 1")
-        for ell, c in self.counts.items():
-            if ell < 1 or ell > self.max_len:
-                raise InvalidArgumentError(
-                    f"length {ell} outside [1, {self.max_len}]"
-                )
-            if c < 1:
-                raise InvalidArgumentError(f"stored multiplicity must be >= 1, got {c}")
-
-    def as_arrays(self):
-        lengths = np.array(sorted(self.counts), dtype=np.int64)
-        counts = np.array([self.counts[int(l)] for l in lengths], dtype=np.int64)
-        return lengths, counts
-
-    @property
-    def total_cycles(self):
-        return sum(self.counts.values())
 
     @property
     def size(self):

@@ -19,10 +19,6 @@ class CapacityError(OverflowError):
 class AccuracyError(RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class UnsupportedError(ValueError):
     """A parameter regime that is deliberately not supported."""

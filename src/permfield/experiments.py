@@ -31,6 +31,7 @@ from .field import (
     eval_point,
     log_abs_term_array,
     scan_max,
+    term_array,
 )
 from .reports import ExperimentConfig, ExperimentReport
 from .streams import stream
@@ -280,10 +281,7 @@ def run_clt_check(config, t=None):
     standardized = (arr - arr.mean()) / arr.std(ddof=1)
     ks = float(sstats.kstest(standardized, "norm").statistic)
     ell = np.arange(1, n + 1, dtype=np.int64)
-    if config.kind == "imag":
-        terms = math.pi * (np.mod(ell * float(point), 1.0) - 0.5)
-    else:
-        terms = log_abs_term_array(ell, float(point))
+    terms = term_array(np.mod(ell * float(point), 1.0), 1.0, config.kind)
     det_mean = float((terms / ell).sum())
     report.cells.append({
         "n": int(n), "degenerate": False, "t": repr(float(point)),
@@ -347,56 +345,57 @@ def _block_tables(blocks, rho, t, beta=None):
     return tables
 
 
-def _conditional_tail_tilted(tables, beta, threshold, samples, seed_args):
-    """IS estimate of P(sum_k V_k >= threshold) under the block-conditioned law."""
+def _block_draws(tables, samples, seed_args, *other_vals):
+    """Sums over the blocks of values at lengths drawn from each table's pmf.
+
+    Yields (chunk_idx, sums) for chunks of at most CHUNK samples, whose
+    uniforms come from stream(*seed_args, chunk_idx). sums[0] adds the
+    tables' own "vals"; each further per-block value list in other_vals is
+    read through the same drawn indices into one more sum.
+    """
+    value_sets = ([tb["vals"] for tb in tables],) + other_vals
+    done = 0
+    chunk_idx = 0
+    while done < samples:
+        mlen = min(CHUNK, samples - done)
+        rng = stream(*seed_args, chunk_idx)
+        sums = [np.zeros(mlen) for _ in value_sets]
+        for i, tb in enumerate(tables):
+            u = rng.random(mlen) * tb["total"]
+            idx = np.searchsorted(tb["cum"], u, side="left")
+            np.clip(idx, 0, len(tb["lengths"]) - 1, out=idx)
+            for acc, vals in zip(sums, value_sets):
+                acc += vals[i][idx]
+        yield chunk_idx, sums
+        done += mlen
+        chunk_idx += 1
+
+
+def _conditional_tail(tables, beta, threshold, samples, seed_args):
+    """Estimate of P(sum_k V_k >= threshold) under the block-conditioned law.
+
+    With beta, the tables are tilted by e^{beta V} and each hit carries the
+    likelihood ratio; with beta=None they hold the conditional pmf and each
+    hit counts 1 (direct Monte Carlo, binomial standard error).
+    """
     log_phi_sum = sum(tb["log_phi"] for tb in tables)
     rows = []
     total_w = total_w2 = 0.0
     hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        mlen = min(CHUNK, samples - done)
-        rng = stream(*seed_args, chunk_idx)
-        y = np.zeros(mlen)
-        for tb in tables:
-            u = rng.random(mlen) * tb["total"]
-            idx = np.searchsorted(tb["cum"], u, side="left")
-            np.clip(idx, 0, len(tb["lengths"]) - 1, out=idx)
-            y += tb["vals"][idx]
-        w = np.where(y >= threshold, np.exp(-beta * y + log_phi_sum), 0.0)
+    for chunk_idx, (y,) in _block_draws(tables, samples, seed_args):
+        if beta is None:
+            w = (y >= threshold).astype(float)
+        else:
+            w = np.where(y >= threshold, np.exp(-beta * y + log_phi_sum), 0.0)
         total_w += float(w.sum())
         total_w2 += float((w * w).sum())
         hits += int(np.count_nonzero(w))
-        rows.append([chunk_idx, mlen, float(w.sum()), float((w * w).sum()), hits])
-        done += mlen
-        chunk_idx += 1
+        rows.append([chunk_idx, y.size, float(w.sum()), float((w * w).sum()), hits])
     mean = total_w / samples
+    if beta is None:
+        return mean, math.sqrt(max(mean * (1 - mean), 0.0) / samples), rows
     var = max(total_w2 / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples), rows
-
-
-def _conditional_tail_direct(tables, threshold, samples, seed_args):
-    rows = []
-    hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        mlen = min(CHUNK, samples - done)
-        rng = stream(*seed_args, chunk_idx)
-        y = np.zeros(mlen)
-        for tb in tables:
-            u = rng.random(mlen) * tb["total"]
-            idx = np.searchsorted(tb["cum"], u, side="left")
-            np.clip(idx, 0, len(tb["lengths"]) - 1, out=idx)
-            y += tb["vals"][idx]
-        c = int(np.count_nonzero(y >= threshold))
-        hits += c
-        rows.append([chunk_idx, mlen, float(c), float(c), hits])
-        done += mlen
-        chunk_idx += 1
-    mean = hits / samples
-    return mean, math.sqrt(max(mean * (1 - mean), 0.0) / samples), rows
 
 
 def run_conditional_tail(config):
@@ -444,14 +443,10 @@ def run_conditional_tail(config):
         f"method={'tilted-importance' if rare else 'direct'}")
 
     # (a) block-conditioned estimate
-    if rare:
-        tables = _block_tables(blocks, rho, t, beta=beta)
-        est_a, se_a, rows_a = _conditional_tail_tilted(
-            tables, beta, threshold, config.samples, (config.seed, name, "block"))
-    else:
-        tables = _block_tables(blocks, rho, t, beta=None)
-        est_a, se_a, rows_a = _conditional_tail_direct(
-            tables, threshold, config.samples, (config.seed, name, "block"))
+    tilt = beta if rare else None
+    est_a, se_a, rows_a = _conditional_tail(
+        _block_tables(blocks, rho, t, beta=tilt), tilt, threshold,
+        config.samples, (config.seed, name, "block"))
     for row in rows_a:
         report.rows.append(["block-conditioned"] + row)
 
@@ -542,19 +537,10 @@ def run_two_point(config):
         tables_t = _block_tables(blocks, rho, t, beta=None)
         hits_s = hits_t = hits_joint = 0
         sum_s = sum_t = sum_st = sum_s2 = sum_t2 = 0.0
-        done = 0
-        chunk_idx = 0
-        while done < config.samples:
-            mlen = min(CHUNK, config.samples - done)
-            rng = stream(config.seed, name, "mc", pair_idx, chunk_idx)
-            ys = np.zeros(mlen)
-            yt = np.zeros(mlen)
-            for tb_s, tb_t in zip(tables_s, tables_t):
-                u = rng.random(mlen) * tb_s["total"]
-                idx = np.searchsorted(tb_s["cum"], u, side="left")
-                np.clip(idx, 0, len(tb_s["lengths"]) - 1, out=idx)
-                ys += tb_s["vals"][idx]
-                yt += tb_t["vals"][idx]  # same cycle lengths drive both points
+        # the same drawn cycle lengths drive both points
+        for _, (ys, yt) in _block_draws(
+                tables_s, config.samples, (config.seed, name, "mc", pair_idx),
+                [tb["vals"] for tb in tables_t]):
             hs = ys >= threshold
             ht = yt >= threshold
             hits_s += int(np.count_nonzero(hs))
@@ -565,8 +551,6 @@ def run_two_point(config):
             sum_st += float((ys * yt).sum())
             sum_s2 += float((ys * ys).sum())
             sum_t2 += float((yt * yt).sum())
-            done += mlen
-            chunk_idx += 1
         nn = config.samples
         cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
         var_s = sum_s2 / nn - (sum_s / nn) ** 2

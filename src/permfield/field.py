@@ -31,6 +31,7 @@ __all__ = [
     "log_abs_term",
     "arg_term",
     "log_abs_term_array",
+    "term_array",
     "eval_point",
     "split_field",
     "scan_max",
@@ -86,7 +87,7 @@ class Mesh:
 class FieldSpec:
     """Which field to evaluate: counts, real or imaginary kind, optional cutoff."""
 
-    counts: object  # CycleStructure or PoissonCounts
+    counts: object  # a cycles.CycleCounts: CycleStructure or PoissonCounts
     kind: str = "real"
     truncation: Optional[int] = None
 
@@ -111,44 +112,45 @@ def log_abs_term(u, exact_zero=None):
 
     exact_zero selects how the singularity is detected: None dispatches on
     the input type (exact for Fraction/int, threshold ||u|| < 1e-15 for
-    float), True forces the exact test, False forces the threshold.
+    float), True forces the exact test, False forces the threshold. The
+    reduction u mod 1 is exact in every case.
     """
-    if exact_zero is None:
-        exact_zero = isinstance(u, (Fraction, int))
-    if isinstance(u, Fraction):
-        frac = u - math.floor(u)
-        if exact_zero:
-            if frac == 0:
-                return NEG_INF
-        elif min(frac, 1 - frac) < FLOAT_ZERO_TOL:
-            return NEG_INF
-        w = float(min(frac, 1 - frac))
-    else:
-        frac = float(u) % 1.0
-        w = min(frac, 1.0 - frac)
-        if exact_zero:
-            if w == 0.0:
-                return NEG_INF
-        elif w < FLOAT_ZERO_TOL:
-            return NEG_INF
-    return math.log(2.0 * math.sin(math.pi * w))
+    frac, exact = _as_fraction(u)
+    d = frac.denominator
+    return _term_from_residue(frac.numerator % d, d, "real",
+                              exact if exact_zero is None else exact_zero)
 
 
 def arg_term(u):
     """Principal branch arg(1 - e(u)) = pi (u - 1/2), u reduced to [0, 1)."""
-    if isinstance(u, Fraction):
-        u = float(u - math.floor(u))
-    else:
-        u = float(u) % 1.0
-    return math.pi * (u - 0.5)
+    frac, _ = _as_fraction(u)
+    d = frac.denominator
+    return _term_from_residue(frac.numerator % d, d, "imag", True)
 
 
 def log_abs_term_array(lengths, t):
     """Vectorized log|1 - e(ell t)| over an int64 array of lengths, float t."""
     u = np.mod(np.asarray(lengths, dtype=np.float64) * t, 1.0)
-    w = np.minimum(u, 1.0 - u)
+    return term_array(u, 1.0, "real")
+
+
+def term_array(num, den, kind):
+    """Vectorized term of the residues num/den in [0, 1).
+
+    num is an int64 array over the integer den (the exact scan residues) or
+    a float array with den = 1.0. Real kind: log(2 sin(pi min(u, 1-u))),
+    -inf at u = 0; imaginary kind: pi (u - 1/2).
+    """
+    if kind == "imag":
+        return np.pi * (num / den - 0.5)
+    # in place: a fresh 2^16-element array per step costs the scan ~20%
+    # on one thread; the operations and their order are the same
+    u = np.minimum(num, den - num) / den
+    u *= np.pi
+    np.sin(u, out=u)
+    u *= 2.0
     with np.errstate(divide="ignore"):
-        return np.log(2.0 * np.sin(np.pi * w))
+        return np.log(u, out=u)
 
 
 def _as_fraction(t):
@@ -162,6 +164,7 @@ def _as_fraction(t):
 
 
 def _term_from_residue(num, den, kind, exact):
+    """Term of the exact residue num/den in [0, 1); exact selects the -inf test."""
     if kind == "imag":
         return math.pi * (num / den - 0.5)
     num = min(num, den - num)
@@ -173,19 +176,19 @@ def _term_from_residue(num, den, kind, exact):
     return math.log(2.0 * math.sin(math.pi * (num / den)))
 
 
-def eval_point(spec, t):
-    """Field value sum_ell c_ell * term(ell t mod 1) at a single point.
-
-    The reduction ell*t mod 1 is exact integer arithmetic on the rational
-    form of t. Real kind returns -inf iff some occupied length has
-    ell*t in Z (threshold rule for float inputs); imaginary kind is finite.
-    """
-    frac_t, exact = _as_fraction(t)
-    p, d = frac_t.numerator, frac_t.denominator
+def _lengths(spec):
+    """Occupied lengths and their multiplicities, cut at spec.truncation."""
     lengths, counts = spec.counts.as_arrays()
     if spec.truncation is not None:
         keep = lengths <= spec.truncation
         lengths, counts = lengths[keep], counts[keep]
+    return lengths, counts
+
+
+def _residue_sum(lengths, counts, t, kind):
+    """sum c * term(ell t mod 1) with the reduction in exact integer arithmetic."""
+    frac_t, exact = _as_fraction(t)
+    p, d = frac_t.numerator, frac_t.denominator
     total = 0.0
     for ell, c in zip(lengths.tolist(), counts.tolist()):
         if d * ell >= INT128_LIMIT:
@@ -194,10 +197,20 @@ def eval_point(spec, t):
                 "128-bit range supported for exact rational evaluation"
             )
         num = (ell * p) % d
-        total += c * _term_from_residue(num, d, spec.kind, exact)
+        total += c * _term_from_residue(num, d, kind, exact)
         if total == NEG_INF:
-            return NEG_INF
+            break
     return total
+
+
+def eval_point(spec, t):
+    """Field value sum_ell c_ell * term(ell t mod 1) at a single point.
+
+    The reduction ell*t mod 1 is exact integer arithmetic on the rational
+    form of t. Real kind returns -inf iff some occupied length has
+    ell*t in Z (threshold rule for float inputs); imaginary kind is finite.
+    """
+    return _residue_sum(*_lengths(spec), t, spec.kind)
 
 
 def split_field(spec, w, t):
@@ -205,28 +218,10 @@ def split_field(spec, w, t):
     n = spec.counts.size
     if not 2 <= w <= n:
         raise InvalidArgumentError(f"W must lie in [2, {n}], got {w}")
-    cutoff = n // w  # >= 1 since w <= n
-    low = eval_point(
-        FieldSpec(counts=spec.counts, kind=spec.kind, truncation=cutoff), t
-    )
-    # high part: lengths above the cutoff
-    frac_t, exact = _as_fraction(t)
-    p, d = frac_t.numerator, frac_t.denominator
     lengths, counts = spec.counts.as_arrays()
-    high = 0.0
-    for ell, c in zip(lengths.tolist(), counts.tolist()):
-        if ell <= cutoff:
-            continue
-        if d * ell >= INT128_LIMIT:
-            raise CapacityError(
-                f"reduction ell * denominator = {ell} * {d} exceeds the "
-                "128-bit range supported for exact rational evaluation"
-            )
-        num = (ell * p) % d
-        high += c * _term_from_residue(num, d, spec.kind, exact)
-        if high == NEG_INF:
-            break
-    return low, high
+    low = lengths <= n // w  # the cutoff is >= 1 since w <= n
+    return (_residue_sum(lengths[low], counts[low], t, spec.kind),
+            _residue_sum(lengths[~low], counts[~low], t, spec.kind))
 
 
 def resolve_threads(threads=None):
@@ -253,18 +248,13 @@ def _scan_capacity_check(mesh, max_len):
         )
 
 
-def _scan_block(j0, j1, q, qtd, d, residues, offsets, counts, imag):
+def _scan_block(j0, j1, q, qtd, d, residues, offsets, counts, kind):
     j = np.arange(j0, j1, dtype=np.int64)
     acc = np.zeros(j1 - j0)
     for r, off, c in zip(residues, offsets, counts):
         num = ((r * j) % q) * qtd + off
         num %= d
-        if imag:
-            acc += c * (np.pi * (num / d - 0.5))
-        else:
-            fold = np.minimum(num, d - num)
-            with np.errstate(divide="ignore"):
-                acc += c * np.log(2.0 * np.sin(np.pi * (fold / d)))
+        acc += c * term_array(num, d, kind)
     return acc
 
 
@@ -276,10 +266,7 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
     thread count. Ties, including the all--inf mesh, resolve to the
     smallest index. Cost O(q * #distinct lengths).
     """
-    lengths, counts = spec.counts.as_arrays()
-    if spec.truncation is not None:
-        keep = lengths <= spec.truncation
-        lengths, counts = lengths[keep], counts[keep]
+    lengths, counts = _lengths(spec)
     max_len = int(lengths[-1]) if len(lengths) else 1
     _scan_capacity_check(mesh, max_len)
     q, td, tn = mesh.q, mesh.theta_den, mesh.theta_num
@@ -287,13 +274,12 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
     qtd = q * td
     residues = np.array([ell % q for ell in lengths.tolist()], dtype=np.int64)
     offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
-    imag = spec.kind == "imag"
     n_threads = resolve_threads(threads)
 
     starts = list(range(0, q, BLOCK))
 
     def work(j0):
-        return _scan_block(j0, min(j0 + BLOCK, q), q, qtd, d, residues, offsets, counts, imag)
+        return _scan_block(j0, min(j0 + BLOCK, q), q, qtd, d, residues, offsets, counts, spec.kind)
 
     if n_threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -1,11 +1,10 @@
 """Fourier coefficients of |1-e(t)|^z and logarithmic block averages.
 
-phi_hat computes hat(phi)_z(xi) = integral |1-e(t)|^z e(-xi t) dt by
-oscillatory-weight adaptive quadrature (the sine component vanishes by the
-t -> 1-t symmetry). decay_envelope fits the empirical coefficient decay.
-log_average evaluates the exact logarithmic average of phi over one
-geometric length block along the orbit (ell t)_ell, the single-block
-conditional Laplace transform of the field.
+phi_hat evaluates hat(phi)_z(xi) = integral |1-e(t)|^z e(-xi t) dt in
+closed form through the gamma function. decay_envelope fits the empirical
+coefficient decay. log_average evaluates the exact logarithmic average of
+phi over one geometric length block along the orbit (ell t)_ell, the
+single-block conditional Laplace transform of the field.
 """
 
 import math
@@ -13,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .cycles import block_bounds, block_mean
-from .errors import AccuracyError, DomainError, InvalidArgumentError
+from .errors import AccuracyError, CapacityError, DomainError, InvalidArgumentError
+from .field import INT64_SAFE
 
 __all__ = [
     "FourierRow",
@@ -26,8 +26,8 @@ __all__ = [
     "log_average",
 ]
 
-_ZERO_COEFF_FLOOR = 1e-12  # below this (relative to the mean), a coefficient
-# is treated as exactly zero by the decay fit
+DIRECT_XI_MAX = 64  # beyond this |xi| the reciprocal gammas of the direct
+# form head for over/underflow (0 * inf = nan by xi = 256)
 
 
 @dataclass
@@ -35,7 +35,6 @@ class FourierRow:
     z: complex
     xi: int
     value: complex
-    quad_error: float
 
 
 def phi(z, u):
@@ -46,53 +45,33 @@ def phi(z, u):
     return s**z
 
 
-def phi_hat(z, xi, epsrel=1e-10):
+def phi_hat(z, xi):
     """Fourier coefficient of phi_z at integer frequency xi.
 
-    Requires Re z >= 0.5. Adaptive quadrature with the oscillatory cosine
-    weight; the achieved error estimate ships in the row. Raises
-    AccuracyError (with the achieved error attached) when the quadrature
-    does not reach roughly the requested relative accuracy.
+    Requires Re z >= 0.5. Closed form, even in xi:
+    hat(phi)_z(xi) = (-1)^xi Gamma(z+1) / (Gamma(1+z/2+xi) Gamma(1+z/2-xi)).
+    For |xi| above both DIRECT_XI_MAX and Re z/2 the reflection formula gives
+    -(sin(pi z/2)/pi) Gamma(z+1) Gamma(|xi|-z/2) / Gamma(|xi|+1+z/2), the
+    gamma ratio taken through loggamma. For even integer z, phi_z is a
+    trigonometric polynomial and the coefficients are exactly 0 for
+    |xi| > z/2. Real z is evaluated in real arithmetic (imaginary part 0).
     """
     zc = complex(z)
     if zc.real < 0.5:
         raise DomainError(f"Re z must be >= 0.5, got {z}")
-    is_complex = zc.imag != 0.0
-    zz = zc if is_complex else zc.real
-
-    def f_re(u):
-        s = 2.0 * math.sin(math.pi * u)
-        if s <= 0.0:
-            return 0.0
-        v = s**zz
-        return v.real if is_complex else v
-
-    def f_im(u):
-        s = 2.0 * math.sin(math.pi * u)
-        if s <= 0.0:
-            return 0.0
-        return (s**zz).imag
-
-    kwargs = dict(epsabs=1e-12, epsrel=epsrel, limit=400)
-    if xi == 0:
-        re, err_re = integrate.quad(f_re, 0.0, 1.0, **kwargs)
-        im, err_im = integrate.quad(f_im, 0.0, 1.0, **kwargs) if is_complex else (0.0, 0.0)
+    zz = zc if zc.imag != 0.0 else zc.real
+    m = abs(int(xi))
+    if zc.imag == 0.0 and zz % 2.0 == 0.0 and m > zz / 2.0:
+        value = 0.0
+    elif m <= max(DIRECT_XI_MAX, zc.real / 2.0):  # reflection needs |xi| > z/2
+        value = ((-1) ** m * special.gamma(zz + 1.0)
+                 * special.rgamma(1.0 + zz / 2.0 + m)
+                 * special.rgamma(1.0 + zz / 2.0 - m))
     else:
-        wvar = 2.0 * math.pi * abs(xi)
-        re, err_re = integrate.quad(f_re, 0.0, 1.0, weight="cos", wvar=wvar, **kwargs)
-        im, err_im = (
-            integrate.quad(f_im, 0.0, 1.0, weight="cos", wvar=wvar, **kwargs)
-            if is_complex
-            else (0.0, 0.0)
-        )
-    value = complex(re, im)
-    err = err_re + err_im
-    if err > 1e-6 * max(1.0, abs(value)):
-        raise AccuracyError(
-            f"quadrature for phi_hat(z={z}, xi={xi}) reached error {err:.3g}",
-            achieved=err,
-        )
-    return FourierRow(z=zc, xi=int(xi), value=value, quad_error=err)
+        value = (-np.sin(np.pi * zz / 2.0) / np.pi * special.gamma(zz + 1.0)
+                 * np.exp(special.loggamma(m - zz / 2.0)
+                          - special.loggamma(m + 1.0 + zz / 2.0)))
+    return FourierRow(z=zc, xi=int(xi), value=complex(value))
 
 
 def decay_envelope(z, xi_max, check=True):
@@ -116,12 +95,9 @@ def decay_envelope(z, xi_max, check=True):
     )
     rows = [phi_hat(z, xi) for xi in grid if xi <= xi_max]
     mags = np.array([abs(r.value) for r in rows])
-    errs = np.array([r.quad_error for r in rows])
     xs = np.array([r.xi for r in rows], dtype=float)
     envelope = float(np.max(mags * xs**1.5))
-    scale = abs(phi_hat(z, 0).value)  # natural size of the function
-    floor = np.maximum(_ZERO_COEFF_FLOOR * scale, 10.0 * errs)
-    fit_mask = (xs >= 4) & (xs <= min(256, xi_max)) & (mags > floor)
+    fit_mask = (xs >= 4) & (xs <= min(256, xi_max)) & (mags > 0)
     if fit_mask.sum() < 3:
         return float("-inf"), envelope
     slope = float(np.polyfit(np.log(xs[fit_mask]), np.log(mags[fit_mask]), 1)[0])
@@ -148,6 +124,11 @@ def log_average(beta, t, k, rho):
     if isinstance(t, Fraction):
         # exact residues: phi vanishes exactly on lattice hits
         p, d = t.numerator, t.denominator
+        if (b - 1) * (p % d) >= INT64_SAFE:
+            raise CapacityError(
+                f"reduction (b - 1) * (p mod d) = {b - 1} * {p % d} exceeds "
+                "the int64-safe range of the block average"
+            )
         res = (lengths * (p % d)) % d
         u = res / d
     else:

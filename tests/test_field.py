@@ -33,6 +33,10 @@ def test_log_abs_term_values():
     assert log_abs_term(1e-16) == NEG_INF
     assert log_abs_term(Fraction(1, 10**20)) > NEG_INF
     assert log_abs_term(1e-12, exact_zero=True) > NEG_INF
+    # the reduction mod 1 is exact: a tiny negative float is not 0 mod 1
+    assert log_abs_term(-1e-20, exact_zero=True) == log_abs_term(Fraction(-1e-20))
+    assert log_abs_term(-1e-20, exact_zero=True) == pytest.approx(
+        math.log(2 * math.pi * 1e-20), rel=1e-12)
 
 
 def test_arg_term_values():

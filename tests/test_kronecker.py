@@ -3,14 +3,40 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from permfield.cycles import block_bounds, block_mean
-from permfield.errors import DomainError, InvalidArgumentError
+from permfield.errors import CapacityError, DomainError, InvalidArgumentError
 from permfield.kronecker import decay_envelope, log_average, phi, phi_hat
 from permfield.ratefn import log_mgf, solve_critical
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2 = math.sqrt(2.0) - 1.0
+
+
+def quad_phi_hat(z, xi):
+    """QUADPACK reference for phi_hat: (value, error estimate).
+
+    Integrates the real and imaginary parts of |1-e(t)|^z against the
+    oscillatory cosine weight (the sine component vanishes by t -> 1-t).
+    """
+    zc = complex(z)
+    is_complex = zc.imag != 0.0
+    zz = zc if is_complex else zc.real
+
+    def part(take):
+        def f(u):
+            s = 2.0 * math.sin(math.pi * u)
+            return take(s**zz) if s > 0.0 else 0.0
+        return f
+
+    kwargs = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
+    if xi != 0:
+        kwargs.update(weight="cos", wvar=2.0 * math.pi * abs(xi))
+    re, err_re = integrate.quad(part(lambda v: v.real), 0.0, 1.0, **kwargs)
+    im, err_im = (integrate.quad(part(lambda v: v.imag), 0.0, 1.0, **kwargs)
+                  if is_complex else (0.0, 0.0))
+    return complex(re, im), err_re + err_im
 
 
 def test_phi_hat_trig_identity_at_two():
@@ -26,7 +52,6 @@ def test_phi_hat_zero_frequency_is_mgf():
     for beta in (1.0, 2.5, 11.746):
         row = phi_hat(beta, 0)
         assert row.value.real == pytest.approx(math.exp(log_mgf(beta)), rel=1e-8)
-        assert row.quad_error < 1e-6
     # complex tilt: matches the analytic continuation of the closed form
     z = 1.0 + 5.0j
     row = phi_hat(z, 0)
@@ -40,6 +65,31 @@ def test_phi_hat_conjugate_symmetry_real_z():
         b = phi_hat(2.5, -xi).value
         assert a.imag == pytest.approx(0.0, abs=1e-10)
         assert a.real == pytest.approx(b.real, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_phi_hat_matches_quadrature():
+    xis = [-64, -31, -7, -2, -1, 0, 1, 2, 3, 5, 8, 13, 21, 31, 34, 55, 63, 64,
+           65, 89, 100, 128, 200, 255, 256]
+    for z in (0.75, 1.0, 2.5, 3.0, 11.746, 1.0 + 5.0j):
+        for xi in xis:
+            closed = phi_hat(z, xi).value
+            quad, err = quad_phi_hat(z, xi)
+            assert abs(closed - quad) <= 1e-8 * abs(quad) + 10.0 * err, (z, xi)
+            if not isinstance(z, complex):
+                assert closed.imag == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_phi_hat_exact_zeros_at_even_integers():
+    # phi_z is a trigonometric polynomial of degree z/2 for even integer z:
+    # beyond it the closed form gives exact zeros, where quadrature leaves
+    # roundoff below its absolute tolerance
+    for z in (2.0, 4):
+        for xi in (-100, -3, int(z) // 2 + 1, 17, 64, 65, 256):
+            assert phi_hat(z, xi).value == 0.0
+            assert abs(quad_phi_hat(z, xi)[0]) < 1e-12
+    assert phi_hat(4, 2).value.real == pytest.approx(quad_phi_hat(4, 2)[0].real, rel=1e-10)
 
 
 def test_phi_hat_domain():
@@ -109,6 +159,23 @@ def test_log_average_generic_point_near_mgf():
     k = math.ceil(math.log(1e5) / 0.05)
     avg = log_average(2.0, SQRT2, k, 0.05)
     assert abs(avg - 2.0) < 0.05
+
+
+def test_log_average_exact_residues_match_fsum():
+    t, k, rho, beta = Fraction(22, 97), 185, 0.05, 2.0
+    a, b = block_bounds(k, rho)
+    direct = math.fsum(phi(beta, Fraction((ell * 22) % 97, 97)) / ell
+                       for ell in range(a, b))
+    assert log_average(beta, t, k, rho) == pytest.approx(
+        direct / block_mean(k, rho), rel=1e-12
+    )
+
+
+def test_log_average_refuses_int64_overflow():
+    # (b - 1) * (p mod d) ~ 1.1e19 would wrap int64 silently
+    t = Fraction(10**15 + 37, 2 * 10**15 + 1)
+    with pytest.raises(CapacityError, match="int64-safe"):
+        log_average(2.0, t, 185, 0.05)
 
 
 def test_log_average_errors():
