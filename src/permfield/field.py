@@ -43,6 +43,7 @@ NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
 BLOCK = 1 << 16  # mesh points per scan task
+THRESHOLD_STRIDE = 64  # every 64th mesh point sets the pruning threshold
 INT128_LIMIT = 1 << 127
 INT64_SAFE = 1 << 62
 
@@ -105,6 +106,7 @@ class ScanResult:
     index: int
     value: float
     trace: Optional[np.ndarray] = None
+    terms: int = 0  # terms evaluated: q * #lengths for a traced scan
 
 
 def log_abs_term(u, exact_zero=None):
@@ -248,23 +250,71 @@ def _scan_capacity_check(mesh, max_len):
         )
 
 
-def _scan_block(j0, j1, q, qtd, d, residues, offsets, counts, kind):
-    j = np.arange(j0, j1, dtype=np.int64)
-    acc = np.zeros(j1 - j0)
-    for r, off, c in zip(residues, offsets, counts):
-        num = ((r * j) % q) * qtd + off
+def _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors=None):
+    """Field values at the mesh indices j, summed over the lengths in order.
+
+    With floors, the points whose partial sum after length i is strictly
+    below floors[i] are dropped. Returns the surviving indices, their
+    values and the number of terms evaluated.
+    """
+    acc = np.zeros(len(j))
+    num = np.empty_like(j)
+    terms = 0
+    for i, (r, off, c) in enumerate(zip(residues, offsets, counts)):
+        # (r j mod q) qtd + off mod d in place: fresh arrays per step made
+        # this step ~1.6x slower on 2^16-point blocks
+        np.multiply(j, r, out=num)
+        num %= q
+        num *= qtd
+        num += off
         num %= d
         acc += c * term_array(num, d, kind)
-    return acc
+        terms += len(j)
+        if floors is not None:
+            keep = acc >= floors[i]
+            if not keep.all():
+                j, acc = j[keep], acc[keep]
+                num = num[:len(j)]
+                if not len(j):
+                    break
+    return j, acc, terms
+
+
+def _first_max(results):
+    """(index, value) of the maximum over block results, smallest index on
+    ties; (0, -inf) when every value is -inf or nothing is left."""
+    best_j, best_val = 0, NEG_INF
+    for j, acc, _ in results:
+        if len(acc):
+            k = int(np.argmax(acc))
+            v, jk = float(acc[k]), int(j[k])
+            if v > best_val or (v == best_val and jk < best_j):
+                best_j, best_val = jk, v
+    return best_j, best_val
 
 
 def scan_max(spec, mesh, threads=None, want_trace=False):
     """Exact maximizer of the field over all mesh points.
 
     Deterministic parallel reduction over contiguous blocks of 2^16
-    points; the result (and optional trace) is bit-identical for every
-    thread count. Ties, including the all--inf mesh, resolve to the
-    smallest index. Cost O(q * #distinct lengths).
+    points; the result is bit-identical for every thread count. Ties,
+    including the all--inf mesh, resolve to the smallest index.
+
+    Without a trace the scan is an exact branch and bound. First every
+    64th mesh point and the last one are evaluated in full; their best
+    value is the threshold, which no thread schedule can change. Then
+    every other point runs through the lengths in ascending order, and
+    after each length the points whose partial sum plus the bound on the
+    remaining terms (c log 2 each for the real kind, c pi/2 for the
+    imaginary kind) lies strictly below threshold - slack are dropped:
+    they can never reach the maximum. Survivors are summed in the same
+    order with the same operations, so their values are bit-identical to
+    the full scan. Cost O(q * #distinct lengths) in the worst case, about
+    a quarter of that on sampled permutations; ScanResult.terms counts the
+    terms evaluated, each point and length at most once.
+
+    want_trace=True evaluates every term and returns the field on the
+    whole mesh.
     """
     lengths, counts = _lengths(spec)
     max_len = int(lengths[-1]) if len(lengths) else 1
@@ -276,26 +326,39 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
     offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
     n_threads = resolve_threads(threads)
 
-    starts = list(range(0, q, BLOCK))
+    def run(ranges, floors=None):
+        def work(rng):
+            j = np.arange(*rng, dtype=np.int64)
+            if floors is not None:  # the threshold sample is already summed
+                j = j[(j % THRESHOLD_STRIDE != 0) & (j != q - 1)]
+            return _scan_block(j, q, qtd, d, residues, offsets, counts, spec.kind, floors)
 
-    def work(j0):
-        return _scan_block(j0, min(j0 + BLOCK, q), q, qtd, d, residues, offsets, counts, spec.kind)
+        if n_threads > 1 and len(ranges) > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                return list(pool.map(work, ranges))
+        return [work(rng) for rng in ranges]
 
-    if n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(work, starts))
+    blocks = [(j0, min(j0 + BLOCK, q)) for j0 in range(0, q, BLOCK)]
+    if want_trace:
+        results = run(blocks)
+        trace = np.concatenate([acc for _, acc, _ in results])
     else:
-        chunks = [work(j0) for j0 in starts]
-
-    best_val = NEG_INF
-    best_j = 0
-    for j0, acc in zip(starts, chunks):
-        k = int(np.argmax(acc))
-        v = float(acc[k])
-        if v > best_val:
-            best_val, best_j = v, j0 + k
-    trace = np.concatenate(chunks) if want_trace else None
-    return ScanResult(index=best_j, value=best_val, trace=trace)
+        span = BLOCK * THRESHOLD_STRIDE
+        sample = run([(j0, min(j0 + span, q - 1), THRESHOLD_STRIDE)
+                      for j0 in range(0, q - 1, span)] + [(q - 1, q)])
+        threshold = _first_max(sample)[1]
+        per = math.pi / 2.0 if spec.kind == "imag" else math.log(2.0)
+        total = int(counts.sum())
+        # the rounding of the sums and of the bound stays far below 1e-9 of
+        # the largest partial sum a survivor can reach; a -inf threshold gives
+        # an infinite slack and all floors -inf, so nothing is dropped
+        slack = 1e-9 * (1.0 + abs(threshold) + per * total)
+        floors = [threshold - slack - per * (total - s) for s in np.cumsum(counts).tolist()]
+        results = sample + run(blocks, floors)
+        trace = None
+    best_j, best_val = _first_max(results)
+    return ScanResult(index=best_j, value=best_val, trace=trace,
+                      terms=sum(t for _, _, t in results))
 
 
 def write_trace_csv(mesh, trace):

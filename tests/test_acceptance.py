@@ -216,10 +216,11 @@ def test_criterion_09_two_point_decorrelation():
 
 def test_criterion_10_arc_dichotomy():
     # exactly as stated: N=1e5, xi0=5, kappa=N^{-0.3}; at this width the
-    # union of Bohr sets covers ~27% of the torus and its outer arcs behave
-    # like generic points, so the sup over the major arcs is positive in
-    # every replica -- the proposition's negativity needs thinner arcs (the
-    # mechanism is demonstrated at xi0=1 in test_experiments); see ledger
+    # union of Bohr sets covers 6.93 kappa = 21.9% of the torus and its
+    # outer arcs behave like generic points, so the sup over the major arcs
+    # is positive in every replica -- the proposition's negativity needs
+    # thinner arcs (the mechanism is demonstrated at xi0=1 in
+    # test_experiments); see ledger
     t0 = time.perf_counter()
     cfg = default_config("arc-profile", seed=SEED_ARC, replicas=200,
                          xi0=5, alpha=0.3)
@@ -236,7 +237,7 @@ def test_criterion_10_arc_dichotomy():
     assert passed, (
         f"criterion 10 as stated fails at desk scale: major-arc sup <= 0 in "
         f"{frac:.0%} of replicas (needs >= 90%). kappa = N^-0.3 = 0.032 makes "
-        "Maj(5, kappa) cover ~27% of the torus; see notes/decisions.md.")
+        "Maj(5, kappa) cover 6.93 kappa = 21.9% of the torus; see notes/decisions.md.")
 
 
 def test_criterion_11_occupancy_statistics():

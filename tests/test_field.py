@@ -3,10 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from permfield.cycles import CycleStructure, PoissonCounts, sample_cycle_structure
+from permfield.cycles import (
+    CycleStructure,
+    PoissonCounts,
+    sample_cycle_structure,
+    sample_poisson_counts,
+)
 from permfield.errors import CapacityError, InvalidArgumentError
 from permfield.field import (
+    BLOCK,
     NEG_INF,
     FieldSpec,
     Mesh,
@@ -172,7 +180,7 @@ def test_scan_all_neg_inf_returns_smallest_index():
 def test_scan_thread_count_invariance():
     rng = stream(79, "threads")
     cs = sample_cycle_structure(10**5, rng)
-    mesh = Mesh(q=3 * (1 << 16) + 17, theta_num=1, theta_den=7)
+    mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
     for kind in ("real", "imag"):
         spec = FieldSpec(counts=cs, kind=kind)
         base = scan_max(spec, mesh, threads=1, want_trace=True)
@@ -180,6 +188,53 @@ def test_scan_thread_count_invariance():
         assert base.index == multi.index
         assert base.value == multi.value  # bitwise
         assert np.array_equal(base.trace, multi.trace)
+        assert base.terms == multi.terms == mesh.q * len(cs.counts)
+        # the pruned scan: same maximum, and the same work at any thread count
+        one = scan_max(spec, mesh, threads=1)
+        eight = scan_max(spec, mesh, threads=8)
+        assert (one.index, one.value) == (eight.index, eight.value) == (base.index, base.value)
+        assert one.trace is None and eight.trace is None
+        assert one.terms == eight.terms
+        assert 0 < one.terms < base.terms
+
+
+@st.composite
+def scan_cases(draw):
+    """A cycle-count structure, a field kind and truncation, and a mesh."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    if draw(st.booleans()):
+        counts = sample_cycle_structure(n, rng)
+    else:
+        counts = sample_poisson_counts(n, rng)
+    spec = FieldSpec(counts=counts, kind=draw(st.sampled_from(["real", "imag"])),
+                     truncation=draw(st.none() | st.integers(1, n)))
+    q = draw(st.integers(1, 200) | st.integers(BLOCK - 70, 2 * BLOCK + 70))
+    theta_den = draw(st.integers(1, 9))
+    theta_num = draw(st.just(0) | st.integers(-theta_den, theta_den))
+    return spec, Mesh(q=q, theta_num=theta_num, theta_den=theta_den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scan_cases(), threads=st.sampled_from([1, 2, 8]))
+@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2})), Mesh(q=3)), threads=1)
+@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2})), Mesh(q=199)), threads=2)
+@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2}), kind="imag"), Mesh(q=64)),
+         threads=1)
+@example(case=(FieldSpec(counts=CycleStructure(1, {1: 1})), Mesh(q=1)), threads=8)
+@example(case=(FieldSpec(counts=CycleStructure(3, {3: 1}), truncation=2), Mesh(q=130)),
+         threads=2)
+@example(case=(FieldSpec(counts=CycleStructure(6, {2: 3})), Mesh(q=2 * BLOCK + 2)),
+         threads=8)
+def test_pruned_scan_matches_full_trace(case, threads):
+    # differential test: branch and bound against the argmax of the full trace
+    spec, mesh = case
+    full = scan_max(spec, mesh, threads=1, want_trace=True)
+    k = int(np.argmax(full.trace))
+    res = scan_max(spec, mesh, threads=threads)
+    assert res.index == k
+    assert res.value == float(full.trace[k])
+    assert res.terms <= full.terms
 
 
 def test_mesh_supremum_factor_14():
