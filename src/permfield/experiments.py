@@ -18,6 +18,7 @@ import numpy as np
 from . import ratefn
 from .arith import arithmetic_distance, classify
 from .cycles import (
+    _harmonic_cumsum,
     block_bounds,
     block_mean,
     sample_cycle_structure,
@@ -63,6 +64,7 @@ MEDIAN_TREND_SLACK = 0.04  # ~1 sd of a 20-replica cell median
 IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 NAIVE_MC_FLOOR = 1e-5
 CHUNK = 1 << 16
+CALIBRATION_POOL = 100000  # tilted q-block sums behind the two-point level
 OCC_CHUNK = 256
 
 
@@ -316,11 +318,75 @@ def run_clt_check(config, t=None):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _block_tables(blocks, rho, t, beta=None):
-    """Per-block supports, term values, and sampling tables.
+def _bucket_position(x, total, size):
+    # x / total * size in two rounded steps, each monotone in x; dividing
+    # first keeps it finite for every positive finite total, subnormal ones
+    # too (inf / inf = NaN is expected, see _guide_table)
+    with np.errstate(invalid="ignore"):
+        pos = x / total
+    pos *= size
+    return pos
 
-    With beta=None the pmf is the conditional one (proportional to 1/ell);
-    otherwise it is tilted by e^{beta V}. Returns a list of dicts.
+
+def _guide_table(cum, total):
+    """Guide table ("indexed search") over a cumulative weight array.
+
+    Chen & Asau (1974); Devroye, Non-Uniform Random Variate Generation
+    (1986), III.2.4. With G = len(cum) buckets, guide[g] is the first index
+    i with floor(cum[i] / total * G) >= g, clipped to G - 1. The bucket map
+    is monotone after rounding, so for a uniform u the bucket
+    min(floor(u / total * G), G - 1) never starts past the answer of the
+    inverse-CDF search, and _guide_index only walks forward from it. An
+    infinite total (tilted weights that overflowed) maps finite cum to
+    bucket 0 and infinite cum to NaN, which sorts last.
+    """
+    size = len(cum)
+    pos = np.floor(_bucket_position(cum, total, size))
+    guide = np.searchsorted(pos, np.arange(size), side="left")
+    np.minimum(guide, size - 1, out=guide)
+    return {"cum": cum, "total": total, "guide": guide}
+
+
+def _guide_index(table, u):
+    """np.searchsorted(cum, u, side="left") clipped to len(cum) - 1, exactly.
+
+    Starts each u at its bucket's guide entry and steps the still-active
+    indices forward while cum[idx] < u and idx is not the last index.
+    """
+    cum, guide = table["cum"], table["guide"]
+    last = len(cum) - 1
+    # fmin also sends the NaN of u = total = inf (an overflowed tilt) to the
+    # last bucket, whose guide entry is the first infinite cum
+    bucket = np.fmin(_bucket_position(u, table["total"], len(cum)), last)
+    idx = guide[bucket.astype(np.int64)]
+    active = np.flatnonzero((cum[idx] < u) & (idx < last))
+    while active.size:
+        idx[active] += 1
+        step = idx[active]
+        active = active[(cum[step] < u[active]) & (step < last)]
+    return idx
+
+
+@lru_cache(maxsize=256)
+def _conditional_table(a, b):
+    # the conditional pmf of a block does not depend on the point t, so it
+    # and its guide are built once per block, not once per two-point point;
+    # every caller shares the cached arrays, which are only read
+    lengths = np.arange(a, b, dtype=np.int64)
+    table = _guide_table(_harmonic_cumsum(a, b), float((1.0 / lengths).sum()))
+    for arr in (lengths, table["cum"], table["guide"]):
+        arr.setflags(write=False)
+    return lengths, table
+
+
+def _block_tables(blocks, rho, t, beta=None):
+    """Per-block lengths, term values at t, and guide tables of the pmf.
+
+    With beta=None the pmf is the conditional one (proportional to 1/ell,
+    its cumulative weights from cycles._harmonic_cumsum, its table cached
+    per block); otherwise it is tilted by e^{beta V} and log_phi holds
+    log(total / rho_k), the log normalizer of the tilt. Returns a list of
+    dicts with the keys of _guide_table plus "lengths", "vals", "log_phi".
     """
     tables = []
     tf = float(t)
@@ -328,20 +394,18 @@ def _block_tables(blocks, rho, t, beta=None):
         a, b = block_bounds(k, rho)
         if b <= a:
             raise ConfigError(f"block k={k} at rho={rho} contains no integer")
-        lengths = np.arange(a, b, dtype=np.int64)
-        vals = log_abs_term_array(lengths, tf)
-        rho_k = block_mean(k, rho)
         if beta is None:
-            w = 1.0 / lengths
+            lengths, table = _conditional_table(a, b)
+            vals = log_abs_term_array(lengths, tf)
+            log_phi = 0.0
         else:
+            lengths = np.arange(a, b, dtype=np.int64)
+            vals = log_abs_term_array(lengths, tf)
             with np.errstate(over="ignore"):
                 w = np.exp(beta * vals) / lengths
-        total = float(w.sum())
-        tables.append({
-            "k": k, "lengths": lengths, "vals": vals, "cum": np.cumsum(w),
-            "total": total, "rho_k": rho_k,
-            "log_phi": math.log(total / rho_k) if beta is not None else 0.0,
-        })
+            table = _guide_table(np.cumsum(w), float(w.sum()))
+            log_phi = math.log(table["total"] / block_mean(k, rho))
+        tables.append(dict(table, lengths=lengths, vals=vals, log_phi=log_phi))
     return tables
 
 
@@ -349,9 +413,12 @@ def _block_draws(tables, samples, seed_args, *other_vals):
     """Sums over the blocks of values at lengths drawn from each table's pmf.
 
     Yields (chunk_idx, sums) for chunks of at most CHUNK samples, whose
-    uniforms come from stream(*seed_args, chunk_idx). sums[0] adds the
-    tables' own "vals"; each further per-block value list in other_vals is
-    read through the same drawn indices into one more sum.
+    uniforms come from stream(*seed_args, chunk_idx). Each uniform is
+    scaled by the table's total and mapped to an index by the guide walk,
+    which returns exactly the clipped searchsorted index of the cumulative
+    weights. sums[0] adds the tables' own "vals"; each further per-block
+    value list in other_vals is read through the same drawn indices into
+    one more sum.
     """
     value_sets = ([tb["vals"] for tb in tables],) + other_vals
     done = 0
@@ -361,9 +428,7 @@ def _block_draws(tables, samples, seed_args, *other_vals):
         rng = stream(*seed_args, chunk_idx)
         sums = [np.zeros(mlen) for _ in value_sets]
         for i, tb in enumerate(tables):
-            u = rng.random(mlen) * tb["total"]
-            idx = np.searchsorted(tb["cum"], u, side="left")
-            np.clip(idx, 0, len(tb["lengths"]) - 1, out=idx)
+            idx = _guide_index(tb, rng.random(mlen) * tb["total"])
             for acc, vals in zip(sums, value_sets):
                 acc += vals[i][idx]
         yield chunk_idx, sums
@@ -482,23 +547,52 @@ def run_conditional_tail(config):
 # two-point decorrelation
 
 
-def _calibrate_level(q, seed, target=1e-2):
-    """Level y whose i.i.d. q-block tail probability is about target.
-
-    Calibrated against the importance-sampling estimator itself (the sharp
-    analytic prefactor drifts by an O(1) factor at moderate tilt), with a
-    dedicated deterministic substream.
-    """
-    lo, hi = 0.05, _critical().x_crit
-    for step in range(20):
+def _bisect(above, lo, hi, steps):
+    """Midpoint of [lo, hi] after steps halvings that keep above(lo) true."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        est, _ = ratefn.tilted_tail_estimate(
-            mid, q, 100000, stream(seed, "calibrate", step))
-        if est > target:
+        if above(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _calibrate_level(q, seed, target=1e-2):
+    """Level y whose i.i.d. q-block tail probability is about target.
+
+    Calibrated against importance sampling rather than the sharp analytic
+    asymptotic, whose prefactor drifts by an O(1) factor at moderate tilt.
+    One pool of CALIBRATION_POOL sums Y of q tilted draws comes from the
+    substream stream(seed, "calibrate"); its tilt is the one at the level
+    y0 where bahadur_rao_tail(y0, q) = target, which only decides where the
+    pool samples. With the likelihood ratios w = e^{-beta Y + q log_mgf(beta)}
+    the weighted survival function S(y) = mean(w 1{Y >= y q}) is unbiased
+    at every level, and 20 bisection steps on [0.05, x*] solve
+    S(y) = target on that one pool.
+
+    Returns (y, diagnostics): the pool size, beta, the hits at y, their
+    effective sample size (sum w)^2 / sum w^2 (Kong 1992) and the share of
+    the largest weight among them.
+    """
+    lo, hi = 0.05, _critical().x_crit
+    y0 = _bisect(lambda y: ratefn.bahadur_rao_tail(y, q) > target, lo, hi, 60)
+    _, beta = ratefn.legendre(y0)
+    ysum = ratefn._tilted_v_values(
+        beta, stream(seed, "calibrate"), (CALIBRATION_POOL, q)).sum(axis=1)
+    # no bisection level lies below lo, and dropping the lower sums keeps
+    # their (possibly overflowing) weights out of every S(y)
+    ysum = ysum[ysum >= lo * q]
+    w = np.exp(-beta * ysum + q * ratefn.log_mgf(beta))
+    y = _bisect(lambda y: float(w[ysum >= y * q].sum()) / CALIBRATION_POOL > target,
+                lo, hi, 20)
+    hit = w[ysum >= y * q]
+    total = float(hit.sum())
+    return y, {
+        "pool": CALIBRATION_POOL, "beta": beta, "hits": int(hit.size),
+        "ess": total * total / float((hit * hit).sum()) if hit.size else 0.0,
+        "max_weight_share": float(hit.max()) / total if hit.size else 0.0,
+    }
 
 
 def run_two_point(config):
@@ -511,13 +605,22 @@ def run_two_point(config):
     name = config.name or "two-point"
     q, rho, m, xi0 = config.q, config.rho, config.m, config.xi0
     blocks = list(range(m, m + q))
-    y = config.y or _calibrate_level(q, config.seed)
+    calibration = None
+    if config.y:
+        y = config.y
+    else:
+        y, calibration = _calibrate_level(q, config.seed)
     threshold = y * q
     n_pairs = 12
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["pair", "bucket", "s", "t", "distance", "samples",
                       "hits_s", "hits_t", "hits_joint", "corr"]
     report.notes.append(f"y={y!r} threshold={threshold!r}")
+    if calibration is not None:
+        report.notes.append(
+            "calibration: one tilted pool of {pool} sums at beta={beta!r}; "
+            "{hits} hits at y, effective sample size {ess:.1f}, largest "
+            "weight share {max_weight_share:.3g}".format(**calibration))
 
     rng_pairs = stream(config.seed, name, "pairs")
     pairs = []

@@ -1,13 +1,21 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from permfield import ratefn
 from permfield.cycles import harmonic_sum, sample_cycle_structure
 from permfield.errors import ConfigError
 from permfield.experiments import (
+    _calibrate_level,
+    _critical,
+    _guide_index,
+    _guide_table,
     default_config,
     parse_torus_point,
     run_arc_profile,
@@ -19,6 +27,7 @@ from permfield.experiments import (
     run_occupancy,
     run_two_point,
 )
+from permfield.field import log_abs_term_array
 from permfield.reports import ExperimentConfig
 from permfield.streams import stream
 
@@ -207,6 +216,96 @@ def test_two_point_small():
     assert top["max_abs_corr"] < 0.1
     diag = [c for c in report.cells if c.get("bucket") == "diagonal"][0]
     assert diag["joint_over_product"] == pytest.approx(1.0 / diag["rate"], rel=1e-9)
+
+
+# at most 300 weights below 1e250: their sum stays finite; subnormal
+# weights give totals whose inverse overflows
+_weight = st.one_of(st.just(0.0), st.floats(5e-324, 1e250))
+
+
+@st.composite
+def _weight_tables(draw):
+    """Weights of a block pmf: arbitrary ones with zero runs, or tilted ones.
+
+    Tilted weights e^{beta V} / ell at a dyadic rational t are exactly 0
+    wherever ell t is an integer (V = -inf), and underflow to 0 far below
+    the top of the tilted pmf at large beta.
+    """
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(_weight, min_size=1, max_size=300)))
+        w[draw(st.integers(0, len(w) - 1))] = draw(st.floats(5e-324, 1e250))
+        return w
+    a = draw(st.integers(1, 5000))
+    lengths = np.arange(a, a + draw(st.integers(1, 300)), dtype=np.int64)
+    t = draw(st.one_of(
+        st.builds(Fraction, st.integers(1, 63), st.sampled_from([2, 4, 8, 64])),
+        st.floats(0.0, 1.0)))
+    beta = draw(st.floats(0.01, 64.0))
+    with np.errstate(over="ignore"):
+        return np.exp(beta * log_abs_term_array(lengths, float(t))) / lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_weight_tables(), seed=st.integers(0, 2**32 - 1),
+       excess=st.sampled_from([0.0, 0.0, 0.0, 1e-12, 0.5]))
+@example(w=np.array([2.5]), seed=0, excess=0.0)
+@example(w=np.array([1.0, 3.0]), seed=0, excess=0.0)
+@example(w=np.array([1.0, 0.0, 0.0, 2.0, 0.0, 0.0]), seed=1, excess=0.0)
+@example(w=np.array([0.1] * 10), seed=2, excess=0.0)
+@example(w=np.array([1e-320, 2e-320, 0.0, 3e-321]), seed=3, excess=0.0)
+@example(w=np.exp(64.0 * log_abs_term_array(np.arange(1, 301), 7e-9))
+         / np.arange(1, 301), seed=4, excess=0.0)  # tilted to a subnormal total
+@example(w=np.array([1.0, 2.0, 3.0]), seed=5, excess=0.5)
+@example(w=np.array([1.0, 0.0, np.inf, 2.0]), seed=6, excess=0.0)  # overflowed tilt
+def test_guide_walk_matches_searchsorted(w, seed, excess):
+    cum = np.cumsum(w)
+    # the total may exceed cum[-1] (pairwise vs running sum); excess makes
+    # the gap as large as it could only get for astronomically long tables
+    total = float(w.sum()) * (1.0 + excess)
+    assume(total > 0.0)  # every tilted weight may underflow: no pmf
+    table = _guide_table(cum, total)
+    assert table["guide"].dtype == np.int64 and len(table["guide"]) == len(cum)
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([
+        rng.random(2000) * total,  # the draws of _block_draws
+        [0.0, total, cum[-1], max(total, cum[-1]) * (1.0 + 1e-15)],
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf),
+        rng.random(50) * 2.0 * total,  # u beyond cum[-1] clips to the end
+    ])
+    expected = np.clip(np.searchsorted(cum, u, side="left"), 0, len(cum) - 1)
+    assert np.array_equal(_guide_index(table, u), expected)
+
+
+def test_calibrate_level_one_pool(monkeypatch):
+    draws = []
+    real = ratefn._tilted_v_values
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ratefn, "_tilted_v_values", counted)
+    y, diag = _calibrate_level(32, 3)
+    assert len(draws) == 1
+    assert _calibrate_level(32, 3) == (y, diag)
+    assert 0.05 < y < _critical().x_crit
+    assert diag["pool"] == draws[0][2][0] and draws[0][2][1] == 32
+    assert 0 < diag["ess"] <= diag["hits"] <= diag["pool"]
+    assert 0.0 < diag["max_weight_share"] <= 1.0
+    # the level holds up on an independent substream at twice the pool size
+    est, _ = ratefn.tilted_tail_estimate(y, 32, 2 * 10**5, stream(3, "check"))
+    assert 0.7e-2 <= est <= 1.4e-2
+
+
+def test_two_point_calibrated_level_is_noted():
+    report = run_two_point(default_config("two-point", seed=1, samples=2000))
+    y, diag = _calibrate_level(32, 1)
+    assert report.notes[0] == f"y={y!r} threshold={y * 32!r}"
+    assert report.notes[1].startswith(
+        f"calibration: one tilted pool of {diag['pool']} sums at beta={diag['beta']!r}; "
+        f"{diag['hits']} hits at y")
+    explicit = run_two_point(default_config("two-point", seed=1, samples=2000, y=y))
+    assert not any(n.startswith("calibration") for n in explicit.notes)
 
 
 def test_arc_profile_deep_single_bohr_set():
