@@ -39,6 +39,7 @@ from .ratefn import (
     RateSolution,
     TiltedSampler,
     bahadur_rao_tail,
+    iid_tail,
     legendre,
     log_mgf,
     log_mgf_derivs,

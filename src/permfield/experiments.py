@@ -3,10 +3,11 @@
 Each run_* function maps (config) -> ExperimentReport deterministically:
 replica streams derive from (seed, task label, cell, replica), chunk sizes
 are fixed constants, and aggregation follows a fixed order, so reports are
-byte-identical across thread counts and reruns. Rare upper
-tails are estimated by exponential tilting at the maximizing tilt with
-likelihood-ratio reweighting; naive Monte Carlo is refused when the
-predicted probability is below 1e-5.
+byte-identical across thread counts and reruns. Rare block-conditioned
+upper tails are estimated by exponential tilting at the maximizing tilt
+with likelihood-ratio reweighting; naive Monte Carlo is refused when the
+predicted probability is below 1e-5. The i.i.d. tail they are compared
+with is exact (ratefn.iid_tail).
 """
 
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 
 from . import ratefn
 from .arith import arithmetic_distance, classify
@@ -64,7 +66,6 @@ MEDIAN_TREND_SLACK = 0.04  # ~1 sd of a 20-replica cell median
 IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 NAIVE_MC_FLOOR = 1e-5
 CHUNK = 1 << 16
-CALIBRATION_POOL = 100000  # tilted q-block sums behind the two-point level
 OCC_CHUNK = 256
 
 
@@ -384,9 +385,10 @@ def _block_tables(blocks, rho, t, beta=None):
 
     With beta=None the pmf is the conditional one (proportional to 1/ell,
     its cumulative weights from cycles._harmonic_cumsum, its table cached
-    per block); otherwise it is tilted by e^{beta V} and log_phi holds
-    log(total / rho_k), the log normalizer of the tilt. Returns a list of
-    dicts with the keys of _guide_table plus "lengths", "vals", "log_phi".
+    per block); otherwise it is tilted by e^{beta V}, its weights
+    e^{beta (V - max V)} / ell are finite at any tilt, and log_phi holds the
+    log normalizer beta max V + log(total / rho_k). Returns a list of dicts
+    with the keys of _guide_table plus "lengths", "vals", "log_phi".
     """
     tables = []
     tf = float(t)
@@ -401,10 +403,13 @@ def _block_tables(blocks, rho, t, beta=None):
         else:
             lengths = np.arange(a, b, dtype=np.int64)
             vals = log_abs_term_array(lengths, tf)
-            with np.errstate(over="ignore"):
-                w = np.exp(beta * vals) / lengths
+            top = float(vals.max())
+            if top == NEG_INF:
+                raise ConfigError(f"every length of block k={k} is a zero of "
+                                  f"the field at t={t}: the tilt has no mass")
+            w = np.exp(beta * (vals - top)) / lengths
             table = _guide_table(np.cumsum(w), float(w.sum()))
-            log_phi = math.log(table["total"] / block_mean(k, rho))
+            log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
         tables.append(dict(table, lengths=lengths, vals=vals, log_phi=log_phi))
     return tables
 
@@ -464,11 +469,11 @@ def _conditional_tail(tables, beta, threshold, samples, seed_args):
 
 
 def run_conditional_tail(config):
-    """Three estimates of the block-conditioned upper tail at level y*q.
+    """Three values of the upper tail at level y*q.
 
     (a) Monte Carlo of the conditioned field (tilted importance sampling
-    when the tail is rare), (b) importance-sampled i.i.d. tail, (c) the
-    sharp analytic asymptotic. Asserts (b)/(c) and (a)/(b) ratios.
+    when the tail is rare), (b) the exact i.i.d. tail, (c) the sharp
+    analytic asymptotic. Asserts (b)/(c) and (a)/(b) ratios.
     """
     name = config.name or "conditional-tail"
     t = parse_torus_point(config.t or "sqrt2")
@@ -491,8 +496,8 @@ def run_conditional_tail(config):
     if y >= ratefn.LOG2:
         # the summands are bounded by log 2 almost surely: the level is
         # outside the support and every tail probability is exactly zero
-        for est in ("block-conditioned", "iid-tilted", "bahadur-rao"):
-            report.cells.append({"estimator": est, "estimate": 0.0, "stderr": 0.0})
+        for est in ("block-conditioned", "iid-exact", "bahadur-rao"):
+            report.cells.append({"estimator": est, "estimate": 0.0})
         report.series.append({"name": "tail-estimates", "x": [1.0, 2.0, 3.0],
                               "y": [0.0, 0.0, 0.0]})
         report.add_verdict("level-above-support", True,
@@ -515,17 +520,11 @@ def run_conditional_tail(config):
     for row in rows_a:
         report.rows.append(["block-conditioned"] + row)
 
-    # (b) i.i.d. tail via exponential tilting
-    est_b, se_b = ratefn.tilted_tail_estimate(
-        y, q, config.samples, stream(config.seed, name, "iid"))
-    report.rows.append(["iid-tilted", 0, config.samples, est_b * config.samples,
-                        0.0, 0])
-
+    est_b = ratefn.iid_tail(y, q)
     report.cells.append({"estimator": "block-conditioned", "estimate": est_a,
                          "stderr": se_a, "blocks": [int(b) for b in blocks[:4]] +
                          ["..."], "first_block_start": block_bounds(m, rho)[0]})
-    report.cells.append({"estimator": "iid-tilted", "estimate": est_b,
-                         "stderr": se_b})
+    report.cells.append({"estimator": "iid-exact", "estimate": est_b})
     report.cells.append({"estimator": "bahadur-rao", "estimate": predicted})
     report.series.append({
         "name": "tail-estimates", "x": [1.0, 2.0, 3.0],
@@ -547,52 +546,14 @@ def run_conditional_tail(config):
 # two-point decorrelation
 
 
-def _bisect(above, lo, hi, steps):
-    """Midpoint of [lo, hi] after steps halvings that keep above(lo) true."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _calibrate_level(q, target=1e-2):
+    """Level y in [0.05, x*] whose exact i.i.d. q-block tail is target.
 
-
-def _calibrate_level(q, seed, target=1e-2):
-    """Level y whose i.i.d. q-block tail probability is about target.
-
-    Calibrated against importance sampling rather than the sharp analytic
-    asymptotic, whose prefactor drifts by an O(1) factor at moderate tilt.
-    One pool of CALIBRATION_POOL sums Y of q tilted draws comes from the
-    substream stream(seed, "calibrate"); its tilt is the one at the level
-    y0 where bahadur_rao_tail(y0, q) = target, which only decides where the
-    pool samples. With the likelihood ratios w = e^{-beta Y + q log_mgf(beta)}
-    the weighted survival function S(y) = mean(w 1{Y >= y q}) is unbiased
-    at every level, and 20 bisection steps on [0.05, x*] solve
-    S(y) = target on that one pool.
-
-    Returns (y, diagnostics): the pool size, beta, the hits at y, their
-    effective sample size (sum w)^2 / sum w^2 (Kong 1992) and the share of
-    the largest weight among them.
+    Solved on ratefn.iid_tail rather than on the Bahadur-Rao asymptotic,
+    whose prefactor is about 11% high at q = 32 near this level.
     """
-    lo, hi = 0.05, _critical().x_crit
-    y0 = _bisect(lambda y: ratefn.bahadur_rao_tail(y, q) > target, lo, hi, 60)
-    _, beta = ratefn.legendre(y0)
-    ysum = ratefn._tilted_v_values(
-        beta, stream(seed, "calibrate"), (CALIBRATION_POOL, q)).sum(axis=1)
-    # no bisection level lies below lo, and dropping the lower sums keeps
-    # their (possibly overflowing) weights out of every S(y)
-    ysum = ysum[ysum >= lo * q]
-    w = np.exp(-beta * ysum + q * ratefn.log_mgf(beta))
-    y = _bisect(lambda y: float(w[ysum >= y * q].sum()) / CALIBRATION_POOL > target,
-                lo, hi, 20)
-    hit = w[ysum >= y * q]
-    total = float(hit.sum())
-    return y, {
-        "pool": CALIBRATION_POOL, "beta": beta, "hits": int(hit.size),
-        "ess": total * total / float((hit * hit).sum()) if hit.size else 0.0,
-        "max_weight_share": float(hit.max()) / total if hit.size else 0.0,
-    }
+    return optimize.brentq(lambda y: ratefn.iid_tail(y, q) - target,
+                           0.05, _critical().x_crit)
 
 
 def run_two_point(config):
@@ -605,22 +566,13 @@ def run_two_point(config):
     name = config.name or "two-point"
     q, rho, m, xi0 = config.q, config.rho, config.m, config.xi0
     blocks = list(range(m, m + q))
-    calibration = None
-    if config.y:
-        y = config.y
-    else:
-        y, calibration = _calibrate_level(q, config.seed)
+    y = config.y or _calibrate_level(q)
     threshold = y * q
     n_pairs = 12
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["pair", "bucket", "s", "t", "distance", "samples",
                       "hits_s", "hits_t", "hits_joint", "corr"]
     report.notes.append(f"y={y!r} threshold={threshold!r}")
-    if calibration is not None:
-        report.notes.append(
-            "calibration: one tilted pool of {pool} sums at beta={beta!r}; "
-            "{hits} hits at y, effective sample size {ess:.1f}, largest "
-            "weight share {max_weight_share:.3g}".format(**calibration))
 
     rng_pairs = stream(config.seed, name, "pairs")
     pairs = []

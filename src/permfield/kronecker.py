@@ -16,7 +16,7 @@ from scipy import special
 
 from .cycles import block_bounds, block_mean
 from .errors import AccuracyError, CapacityError, DomainError, InvalidArgumentError
-from .field import INT64_SAFE
+from .field import INT64_SAFE, term_array
 
 __all__ = [
     "FourierRow",
@@ -124,16 +124,14 @@ def log_average(beta, t, k, rho):
     if isinstance(t, Fraction):
         # exact residues: phi vanishes exactly on lattice hits
         p, d = t.numerator, t.denominator
-        if (b - 1) * (p % d) >= INT64_SAFE:
+        if max(d, (b - 1) * (p % d)) >= INT64_SAFE:
             raise CapacityError(
-                f"reduction (b - 1) * (p mod d) = {b - 1} * {p % d} exceeds "
-                "the int64-safe range of the block average"
+                f"denominator d = {d} or reduction (b - 1) * (p mod d) = "
+                f"{b - 1} * {p % d} exceeds the int64-safe range of the block "
+                "average"
             )
-        res = (lengths * (p % d)) % d
-        u = res / d
+        terms = term_array((lengths * (p % d)) % d, d, "real")
     else:
-        u = np.mod(lengths * float(t), 1.0)
-    s = 2.0 * np.sin(np.pi * np.minimum(u, 1.0 - u))
-    vals = np.where(s > 0.0, s, 1.0) ** beta
-    vals = np.where(s > 0.0, vals, 0.0)
-    return float(np.sum(vals / lengths) / block_mean(k, rho))
+        terms = term_array(np.mod(lengths * float(t), 1.0), 1.0, "real")
+    # exp(-inf) = 0 keeps the exact zeros of phi
+    return float(np.sum(np.exp(beta * terms) / lengths) / block_mean(k, rho))

@@ -194,7 +194,7 @@ def test_criterion_08_conditional_vs_iid_tails():
         report = run_conditional_tail(cfg)
         cells = {c["estimator"]: c for c in report.cells}
         ratio_ab = (cells["block-conditioned"]["estimate"]
-                    / cells["iid-tilted"]["estimate"])
+                    / cells["iid-exact"]["estimate"])
         assert 0.5 <= ratio_ab <= 2.0
         for v in report.verdicts:
             assert v["passed"] or v["warning"], v

@@ -156,7 +156,7 @@ def test_conditional_tail_small():
     assert report.passed
     cells = {c["estimator"]: c for c in report.cells}
     a = cells["block-conditioned"]["estimate"]
-    b = cells["iid-tilted"]["estimate"]
+    b = cells["iid-exact"]["estimate"]
     c = cells["bahadur-rao"]["estimate"]
     assert 0.5 <= a / b <= 2.0
     assert 2 / 3 <= b / c <= 1.5
@@ -185,7 +185,18 @@ def test_conditional_tail_quadrature_oracle_q1():
     cells = {c["estimator"]: c for c in report.cells}
     exact = 1.0 - 2.0 * math.asin(math.exp(y) / 2.0) / math.pi
     assert cells["block-conditioned"]["estimate"] == pytest.approx(exact, rel=0.05)
-    assert cells["iid-tilted"]["estimate"] == pytest.approx(exact, rel=0.05)
+    assert cells["iid-exact"]["estimate"] == pytest.approx(exact, rel=0.05)
+
+
+def test_conditional_tail_tilt_without_overflow():
+    # beta = 3397 at y = 0.693: e^{beta V} overflows unless the weights are
+    # shifted by max V, which used to make (a) exactly 0.0
+    cfg = default_config("conditional-tail", seed=1, samples=20000, y=0.693)
+    cells = {c["estimator"]: c for c in run_conditional_tail(cfg).cells}
+    a = cells["block-conditioned"]["estimate"]
+    assert math.isfinite(a) and a > 0.0
+    assert cells["iid-exact"]["estimate"] == ratefn.iid_tail(0.693, 32)
+    assert cells["iid-exact"]["estimate"] == pytest.approx(2.035e-54, rel=1e-3)
 
 
 def test_conditional_tail_level_above_support_is_exact_zero():
@@ -276,36 +287,21 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
     assert np.array_equal(_guide_index(table, u), expected)
 
 
-def test_calibrate_level_one_pool(monkeypatch):
-    draws = []
-    real = ratefn._tilted_v_values
-
-    def counted(*args):
-        draws.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ratefn, "_tilted_v_values", counted)
-    y, diag = _calibrate_level(32, 3)
-    assert len(draws) == 1
-    assert _calibrate_level(32, 3) == (y, diag)
+def test_calibrate_level_solves_exact_tail():
+    y = _calibrate_level(32)
+    assert _calibrate_level(32) == y
     assert 0.05 < y < _critical().x_crit
-    assert diag["pool"] == draws[0][2][0] and draws[0][2][1] == 32
-    assert 0 < diag["ess"] <= diag["hits"] <= diag["pool"]
-    assert 0.0 < diag["max_weight_share"] <= 1.0
-    # the level holds up on an independent substream at twice the pool size
+    assert ratefn.iid_tail(y, 32) == pytest.approx(1e-2, rel=1e-8)
+    # the level holds up on an independent Monte Carlo substream
     est, _ = ratefn.tilted_tail_estimate(y, 32, 2 * 10**5, stream(3, "check"))
     assert 0.7e-2 <= est <= 1.4e-2
 
 
-def test_two_point_calibrated_level_is_noted():
+def test_two_point_default_level_is_the_exact_one():
     report = run_two_point(default_config("two-point", seed=1, samples=2000))
-    y, diag = _calibrate_level(32, 1)
+    y = _calibrate_level(32)
     assert report.notes[0] == f"y={y!r} threshold={y * 32!r}"
-    assert report.notes[1].startswith(
-        f"calibration: one tilted pool of {diag['pool']} sums at beta={diag['beta']!r}; "
-        f"{diag['hits']} hits at y")
-    explicit = run_two_point(default_config("two-point", seed=1, samples=2000, y=y))
-    assert not any(n.startswith("calibration") for n in explicit.notes)
+    assert not any(n.startswith("calibration") for n in report.notes)
 
 
 def test_arc_profile_deep_single_bohr_set():

@@ -178,6 +178,13 @@ def test_log_average_refuses_int64_overflow():
         log_average(2.0, t, 185, 0.05)
 
 
+def test_log_average_refuses_int64_denominator():
+    # the exact residues go through the int64 term kernel, so d itself
+    # must fit, even when every reduction (b - 1) * (p mod d) is small
+    with pytest.raises(CapacityError, match="denominator d"):
+        log_average(2.0, Fraction(1, 2**62 + 1), 185, 0.05)
+
+
 def test_log_average_errors():
     with pytest.raises(InvalidArgumentError):
         log_average(2.0, 0.3, 1, 0.05)  # empty block

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from permfield import ratefn
-from permfield.errors import DomainError, UnsupportedError
+from permfield.errors import AccuracyError, DomainError, UnsupportedError
 from permfield.streams import stream
 
 LOG2 = math.log(2.0)
@@ -209,3 +209,63 @@ def test_tilted_tail_estimate_matches_bahadur_rao_at_moderate_q():
     est, se = ratefn.tilted_tail_estimate(sol.x_crit, 64, 200000, stream(29, "tail64"))
     pred = ratefn.bahadur_rao_tail(sol.x_crit, 64)
     assert 2 / 3 <= est / pred <= 3 / 2
+
+
+def _tail_q1(y):
+    # P(V >= y) = P(2 sin(pi U) >= e^y) exactly
+    return 1.0 - 2.0 * math.asin(math.exp(y) / 2.0) / math.pi
+
+
+def test_iid_tail_q1_closed_form():
+    for y in (0.05, 0.1, 0.3, 0.6, 0.69):
+        assert ratefn.iid_tail(y, 1) == pytest.approx(_tail_q1(y), rel=1e-9)
+
+
+def test_iid_tail_q2_exact_convolution():
+    mpmath = pytest.importorskip("mpmath")
+
+    def convolution(y):
+        # P(V1 + V2 >= 2y) = int_0^1 P(V >= 2y - V(u)) du; the integrand
+        # vanishes outside [u1, 1 - u1], sin(pi u1) = e^{2y}/4, and is
+        # symmetric about 1/2 (min clips rounding at the endpoint u1)
+        with mpmath.workdps(20):
+            y = mpmath.mpf(y)
+            u1 = mpmath.asin(mpmath.exp(2 * y) / 4) / mpmath.pi
+
+            def inner(u):
+                w = mpmath.exp(2 * y) / (4 * mpmath.sin(mpmath.pi * u))
+                return 1 - 2 / mpmath.pi * mpmath.asin(min(w, 1))
+
+            return float(2 * mpmath.quad(inner, [u1, 0.5]))
+
+    assert convolution(0.3) == pytest.approx(0.409173610596197, rel=1e-12)
+    for y in (0.05, 0.3, 0.6, 0.69):
+        assert ratefn.iid_tail(y, 2) == pytest.approx(convolution(y), rel=1e-9)
+
+
+def test_iid_tail_pinned_mpmath_values():
+    # the same Bromwich integral on the vertical line, by mpmath at dps 30
+    x_crit = ratefn.solve_critical().x_crit
+    for (y, q), value in [((0.3214814, 32), 0.0099999935272812),
+                          ((0.5, 8), 0.0204270691098372),
+                          ((x_crit, 32), 1.30940584503614e-15)]:
+        assert ratefn.iid_tail(y, q) == pytest.approx(value, rel=1e-9)
+
+
+def test_iid_tail_monte_carlo_oracle():
+    x_crit = ratefn.solve_critical().x_crit
+    for i, (y, q) in enumerate([(x_crit, 32), (0.5, 8), (0.693, 32)]):
+        est, se = ratefn.tilted_tail_estimate(y, q, 200000, stream(41, "iidtail", i))
+        assert abs(est - ratefn.iid_tail(y, q)) <= 4 * se
+
+
+def test_iid_tail_domain_and_accuracy_errors():
+    for y in (0.0, -0.1, LOG2, 0.7):
+        with pytest.raises(DomainError):
+            ratefn.iid_tail(y, 8)
+    with pytest.raises(DomainError):
+        ratefn.iid_tail(0.3, 0)
+    # beta ~ 7e4: the log-gamma differences lose ~9 digits times q = 1000,
+    # so QUADPACK cannot certify the tolerance and no value is returned
+    with pytest.raises(AccuracyError):
+        ratefn.iid_tail(0.69314, 1000)
