@@ -13,9 +13,8 @@ from .arith import (
     vinogradov_detect,
 )
 from .cycles import (
-    CycleStructure,
+    CycleCounts,
     Occupancy,
-    PoissonCounts,
     coarse_occupancy,
     exact_cycle_type_probability,
     sample_block_cycle,
@@ -37,14 +36,12 @@ from .kronecker import FourierRow, decay_envelope, log_average, phi_hat
 from .ratefn import (
     LOG2,
     RateSolution,
-    TiltedSampler,
     bahadur_rao_tail,
     iid_tail,
     legendre,
     log_mgf,
     log_mgf_derivs,
     log_mgf_quad,
-    make_tilted_sampler,
     sample_tilted_v,
     solve_critical,
     tilted_tail_estimate,

@@ -1,15 +1,17 @@
 """Cycle-structure samplers and coarse-scale occupancy bookkeeping.
 
 A uniform random permutation of [n] is represented only through its cycle
-type: a sparse map length -> multiplicity. The Poisson surrogate replaces
-the multiplicities with independent Poisson(1/length) counts. Lengths are
+type: the occupied lengths and their multiplicities, held in a CycleCounts.
+The Poisson surrogate replaces the multiplicities with independent
+Poisson(1/length) counts and is held in the same type. Lengths are
 grouped into geometric blocks [ceil(e^{rho*k}), ceil(e^{rho*(k+1)})) and
 occupancy of the blocks (0 / 1 / >=2 cycles) drives the conditioning used
 by the experiment harness.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,8 +20,7 @@ from scipy import special
 from .errors import InvalidArgumentError
 
 __all__ = [
-    "CycleStructure",
-    "PoissonCounts",
+    "CycleCounts",
     "Occupancy",
     "sample_cycle_structure",
     "exact_cycle_type_probability",
@@ -34,63 +35,71 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False)
 class CycleCounts:
-    """Sparse map length -> multiplicity >= 1 over the lengths [1, size].
+    """Cycle counts over the lengths [1, size], as two read-only int64 arrays.
 
-    Base of CycleStructure and PoissonCounts; subclasses are dataclasses
-    holding `counts` and defining `size`.
+    lengths holds the occupied lengths in strictly increasing order and
+    counts their multiplicities, each >= 1. The cycle type of a permutation
+    of [size] has sum(lengths * counts) == size; the Poisson surrogate has
+    no such constraint, so it is checked only where a permutation is
+    required (read_cycles_csv, exact_cycle_type_probability).
     """
 
+    size: int
+    lengths: np.ndarray
+    counts: np.ndarray
+
     def __post_init__(self):
-        size = self.size
-        if size < 1:
-            raise InvalidArgumentError(f"size must be >= 1, got {size}")
-        for ell, c in self.counts.items():
-            if ell < 1 or ell > size:
-                raise InvalidArgumentError(f"cycle length {ell} outside [1, {size}]")
-            if c < 1:
-                raise InvalidArgumentError(f"stored multiplicity must be >= 1, got {c}")
+        if self.size < 1:
+            raise InvalidArgumentError(f"size must be >= 1, got {self.size}")
+        try:
+            lengths = self.lengths = np.array(self.lengths, dtype=np.int64)
+            counts = self.counts = np.array(self.counts, dtype=np.int64)
+        except OverflowError as exc:  # a number in a cycle CSV, say
+            raise InvalidArgumentError(f"cycle lengths and counts must fit in int64: {exc}")
+        if lengths.ndim != 1 or counts.shape != lengths.shape:
+            raise InvalidArgumentError(
+                f"lengths and counts must be 1-d arrays of one length, got "
+                f"shapes {lengths.shape} and {counts.shape}")
+        # checked as Python ints: on the few dozen lengths a sampler draws
+        # that is about half the time of the numpy reductions
+        ells = lengths.tolist()
+        for a, b in zip(ells, ells[1:]):
+            if a >= b:
+                raise InvalidArgumentError(
+                    f"cycle lengths must be strictly increasing, got {a} then {b}")
+        for ell in ells[:1] + ells[-1:]:
+            if not 1 <= ell <= self.size:
+                raise InvalidArgumentError(f"cycle length {ell} outside [1, {self.size}]")
+        low = min(counts.tolist(), default=1)
+        if low < 1:
+            raise InvalidArgumentError(f"stored multiplicity must be >= 1, got {low}")
+        lengths.setflags(write=False)
+        counts.setflags(write=False)
+
+    @classmethod
+    def from_dict(cls, size, mapping):
+        """Counts from a map length -> multiplicity, in any key order."""
+        lengths = sorted(mapping)
+        return cls(size, lengths, [mapping[ell] for ell in lengths])
 
     def as_arrays(self):
-        lengths = np.array(sorted(self.counts), dtype=np.int64)
-        counts = np.array([self.counts[int(l)] for l in lengths], dtype=np.int64)
-        return lengths, counts
+        """The stored (lengths, counts) arrays themselves, not copies."""
+        return self.lengths, self.counts
 
     @property
     def total_cycles(self):
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
 
-@dataclass
-class CycleStructure(CycleCounts):
-    """Cycle type of a permutation of [n]: sparse map length -> count >= 1."""
-
-    n: int
-    counts: dict = field(default_factory=dict)
-
-    @property
-    def size(self):
-        return self.n
-
-    def __post_init__(self):
-        super().__post_init__()
-        total = sum(ell * c for ell, c in self.counts.items())
-        if total != self.n:
-            raise InvalidArgumentError(
-                f"cycle lengths sum to {total}, expected n = {self.n}"
-            )
-
-
-@dataclass
-class PoissonCounts(CycleCounts):
-    """Independent Poisson(1/length) surrogate counts, stored sparsely."""
-
-    max_len: int
-    counts: dict = field(default_factory=dict)
-
-    @property
-    def size(self):
-        return self.max_len
+def _require_permutation(structure):
+    # Python ints: the sum of an outside file must not wrap around
+    total = sum(ell * c for ell, c in zip(structure.lengths.tolist(),
+                                          structure.counts.tolist()))
+    if total != structure.size:
+        raise InvalidArgumentError(
+            f"cycle lengths sum to {total}, expected n = {structure.size}")
 
 
 @dataclass
@@ -158,18 +167,19 @@ def sample_cycle_structure(n, rng):
     if n < 1:
         raise InvalidArgumentError(f"permutation size must be >= 1, got {n}")
     remaining = int(n)
-    counts = {}
+    drawn = []
     while remaining > 0:
         ell = int(rng.integers(1, remaining + 1))
-        counts[ell] = counts.get(ell, 0) + 1
+        drawn.append(ell)
         remaining -= ell
-    return CycleStructure(n=int(n), counts=counts)
+    return CycleCounts.from_dict(int(n), Counter(drawn))
 
 
 def exact_cycle_type_probability(structure):
     """P(cycle type) for a uniform permutation: prod_ell ell^{-c_ell} / c_ell!."""
+    _require_permutation(structure)
     logp = 0.0
-    for ell, c in structure.counts.items():
+    for ell, c in zip(structure.lengths.tolist(), structure.counts.tolist()):
         logp -= c * math.log(ell) + math.lgamma(c + 1)
     return math.exp(logp)
 
@@ -206,7 +216,7 @@ def _sample_one_over_ell(a, b, size, rng):
 
 
 def sample_poisson_counts(max_len, rng):
-    """Independent Z_ell ~ Poisson(1/ell) for ell <= max_len, stored sparsely.
+    """Independent Z_ell ~ Poisson(1/ell) for ell <= max_len, as CycleCounts.
 
     Sampled as a marked point process: the total is Poisson(H) with
     H = sum 1/ell and the lengths are i.i.d. with P(ell) proportional to
@@ -215,12 +225,8 @@ def sample_poisson_counts(max_len, rng):
     if max_len < 1:
         raise InvalidArgumentError(f"max_len must be >= 1, got {max_len}")
     total = int(rng.poisson(harmonic_sum(1, max_len + 1)))
-    counts = {}
-    if total:
-        for ell in _sample_one_over_ell(1, max_len + 1, total, rng):
-            ell = int(ell)
-            counts[ell] = counts.get(ell, 0) + 1
-    return PoissonCounts(max_len=int(max_len), counts=counts)
+    draws = _sample_one_over_ell(1, max_len + 1, total, rng)
+    return CycleCounts.from_dict(int(max_len), Counter(draws.tolist()))
 
 
 def sample_block_cycle(k, rho, rng, size=None):
@@ -249,7 +255,7 @@ def coarse_occupancy(counts, rho, m, n):
     if m >= n:
         raise InvalidArgumentError(f"need m < n, got m={m}, n={n}")
     per_block = {}
-    for ell, c in counts.counts.items():
+    for ell, c in zip(counts.lengths.tolist(), counts.counts.tolist()):
         k = _block_of_length(ell, rho)
         if m <= k < n:
             per_block[k] = per_block.get(k, 0) + c
@@ -262,9 +268,9 @@ def coarse_occupancy(counts, rho, m, n):
 
 def write_cycles_csv(structure):
     """CSV serialization: header row "n,<n>", then one "length,count" row per length."""
-    lines = [f"n,{structure.n}"]
-    for ell in sorted(structure.counts):
-        lines.append(f"{ell},{structure.counts[ell]}")
+    lines = [f"n,{structure.size}"]
+    for ell, c in zip(structure.lengths.tolist(), structure.counts.tolist()):
+        lines.append(f"{ell},{c}")
     return "\n".join(lines) + "\n"
 
 
@@ -273,8 +279,8 @@ def read_cycles_csv(text):
     if not lines or not lines[0].startswith("n,"):
         raise InvalidArgumentError('cycle CSV must start with header "n,<n>"')
     n = int(lines[0].split(",")[1])
-    counts = {}
-    for ln in lines[1:]:
-        ell_s, c_s = ln.split(",")
-        counts[int(ell_s)] = int(c_s)
-    return CycleStructure(n=n, counts=counts)
+    # rows in any order; a repeated length is refused by CycleCounts
+    rows = sorted((int(ell), int(c)) for ell, c in (ln.split(",") for ln in lines[1:]))
+    structure = CycleCounts(n, [ell for ell, _ in rows], [c for _, c in rows])
+    _require_permutation(structure)
+    return structure

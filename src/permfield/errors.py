@@ -20,9 +20,5 @@ class AccuracyError(RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
 
 
-class UnsupportedError(ValueError):
-    """A parameter regime that is deliberately not supported."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration is inconsistent or incomplete."""

@@ -257,6 +257,14 @@ def run_clt_check(config, t=None):
         report.rows.append([int(n), r, v,
                             v / norm if v > NEG_INF else NEG_INF])
     arr = np.asarray(values)
+    # the histogram leaves out the atom at -inf of a rational point
+    normalized = arr[arr > NEG_INF] / norm
+    hist, edges = np.histogram(normalized, bins=40) if normalized.size else ([], [0, 1])
+    report.series.append({
+        "name": "normalized-values",
+        "x": [float(0.5 * (edges[i] + edges[i + 1])) for i in range(len(hist))],
+        "y": [int(h) for h in hist],
+    })
     degenerate = isinstance(point, Fraction)
     atom_frac = float(np.mean(arr == NEG_INF))
     if degenerate or atom_frac > 0.0:
@@ -268,15 +276,7 @@ def run_clt_check(config, t=None):
             "rational point excluded by the CLT hypothesis; no assertion")
         report.add_verdict("clt-degenerate-flagged", True,
                            f"atom fraction at -inf: {atom_frac:.4f}", warning=True)
-        finite = arr[arr > NEG_INF] / norm
-        hist, edges = np.histogram(finite, bins=40) if finite.size else ([], [0, 1])
-        report.series.append({
-            "name": "normalized-values",
-            "x": [float(0.5 * (edges[i] + edges[i + 1])) for i in range(len(hist))],
-            "y": [int(h) for h in hist],
-        })
         return report
-    normalized = arr / norm
     var = float(np.var(normalized, ddof=1))
     # shape test: standardize first (the variance clause pins the scale, the
     # KS clause the shape; on the raw values the finite-N mean offset of the
@@ -292,12 +292,6 @@ def run_clt_check(config, t=None):
         "sample_variance": var, "ks_distance": ks,
         "finite_size_mean": det_mean,
         "finite_size_mean_normalized": det_mean / norm,
-    })
-    hist, edges = np.histogram(normalized, bins=40)
-    report.series.append({
-        "name": "normalized-values",
-        "x": [float(0.5 * (edges[i] + edges[i + 1])) for i in range(len(hist))],
-        "y": [int(h) for h in hist],
     })
     report.add_verdict("clt-variance", 0.85 <= var <= 1.15,
                        f"sample variance {var:.4f} of X/sqrt(pi^2/12 log N)")
@@ -319,30 +313,19 @@ def run_clt_check(config, t=None):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _bucket_position(x, total, size):
-    # x / total * size in two rounded steps, each monotone in x; dividing
-    # first keeps it finite for every positive finite total, subnormal ones
-    # too (inf / inf = NaN is expected, see _guide_table)
-    with np.errstate(invalid="ignore"):
-        pos = x / total
-    pos *= size
-    return pos
-
-
 def _guide_table(cum, total):
     """Guide table ("indexed search") over a cumulative weight array.
 
     Chen & Asau (1974); Devroye, Non-Uniform Random Variate Generation
     (1986), III.2.4. With G = len(cum) buckets, guide[g] is the first index
     i with floor(cum[i] / total * G) >= g, clipped to G - 1. The bucket map
-    is monotone after rounding, so for a uniform u the bucket
-    min(floor(u / total * G), G - 1) never starts past the answer of the
-    inverse-CDF search, and _guide_index only walks forward from it. An
-    infinite total (tilted weights that overflowed) maps finite cum to
-    bucket 0 and infinite cum to NaN, which sorts last.
+    x / total * G divides first, in two rounded steps that are each
+    monotone in x, so for a uniform u the bucket min(floor(u / total * G),
+    G - 1) never starts past the answer of the inverse-CDF search, and
+    _guide_index only walks forward from it.
     """
     size = len(cum)
-    pos = np.floor(_bucket_position(cum, total, size))
+    pos = np.floor(cum / total * size)
     guide = np.searchsorted(pos, np.arange(size), side="left")
     np.minimum(guide, size - 1, out=guide)
     return {"cum": cum, "total": total, "guide": guide}
@@ -356,9 +339,7 @@ def _guide_index(table, u):
     """
     cum, guide = table["cum"], table["guide"]
     last = len(cum) - 1
-    # fmin also sends the NaN of u = total = inf (an overflowed tilt) to the
-    # last bucket, whose guide entry is the first infinite cum
-    bucket = np.fmin(_bucket_position(u, table["total"], len(cum)), last)
+    bucket = np.minimum(u / table["total"] * len(cum), last)
     idx = guide[bucket.astype(np.int64)]
     active = np.flatnonzero((cum[idx] < u) & (idx < last))
     while active.size:
@@ -692,12 +673,12 @@ def run_arc_profile(config):
         res = scan_max(spec, mesh, threads=config.threads, want_trace=True)
         major_sup = float(np.max(res.trace[major_mask]))
         minor_sup = float(np.max(res.trace[minor_mask]))
-        zero_vals.append(eval_point(spec, Fraction(0)) if pc.counts else NEG_INF)
+        zero_vals.append(eval_point(spec, Fraction(0)) if len(pc.lengths) else NEG_INF)
         major_ok += major_sup <= 0.0
         minor_ok += minor_sup > 0.0
         minor_ratios.append(minor_sup / logn)
         report.rows.append([r, major_sup, minor_sup, minor_sup / logn,
-                            len(pc.counts)])
+                            len(pc.lengths)])
     frac_major = major_ok / config.replicas
     frac_minor = minor_ok / config.replicas
     report.cells.append({

@@ -88,7 +88,7 @@ class Mesh:
 class FieldSpec:
     """Which field to evaluate: counts, real or imaginary kind, optional cutoff."""
 
-    counts: object  # a cycles.CycleCounts: CycleStructure or PoissonCounts
+    counts: object  # a cycles.CycleCounts
     kind: str = "real"
     truncation: Optional[int] = None
 

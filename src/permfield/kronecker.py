@@ -74,15 +74,15 @@ def phi_hat(z, xi):
     return FourierRow(z=zc, xi=int(xi), value=complex(value))
 
 
-def decay_envelope(z, xi_max, check=True):
+def decay_envelope(z, xi_max):
     """Fitted log-log decay slope and empirical 3/2-normalized envelope.
 
     Computes |phi_hat(z, xi)| * xi^{3/2} over a geometric grid of
     frequencies in [2, xi_max] and returns (slope, max envelope). The
     slope is fit over xi in [4, min(256, xi_max)]; frequencies whose
     coefficients vanish are excluded, and if fewer than three remain the
-    slope is the -inf sentinel (trigonometric-polynomial case). With
-    check=True a slope above -1.4 raises AccuracyError.
+    slope is the -inf sentinel (trigonometric-polynomial case). A fitted
+    slope above -1.4 raises AccuracyError.
     """
     if complex(z).real < 1.0:
         raise DomainError(f"Re z must be >= 1, got {z}")
@@ -101,7 +101,7 @@ def decay_envelope(z, xi_max, check=True):
     if fit_mask.sum() < 3:
         return float("-inf"), envelope
     slope = float(np.polyfit(np.log(xs[fit_mask]), np.log(mags[fit_mask]), 1)[0])
-    if check and not slope <= -1.4:
+    if not slope <= -1.4:
         raise AccuracyError(
             f"fitted Fourier decay slope {slope:.3f} for z={z} exceeds -1.4"
         )

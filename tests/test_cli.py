@@ -4,7 +4,7 @@ import math
 import pytest
 
 from permfield.cli import run
-from permfield.cycles import CycleStructure, read_cycles_csv, write_cycles_csv
+from permfield.cycles import CycleCounts, read_cycles_csv, write_cycles_csv
 from permfield.errors import InvalidArgumentError
 from permfield.reports import ExperimentReport
 from permfield.svgplot import emit_plot
@@ -35,12 +35,12 @@ def test_sample_deterministic(tmp_path, capsys):
     assert run(["sample", "--n", "1000", "--seed", "9", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     cs = read_cycles_csv(out1.read_text())
-    assert cs.n == 1000
+    assert cs.size == 1000
 
 
 def test_eval_singular_point(tmp_path, capsys):
     cycles = tmp_path / "fig.csv"
-    cycles.write_text(write_cycles_csv(CycleStructure(100, {56: 1, 22: 1, 9: 2, 4: 1})))
+    cycles.write_text(write_cycles_csv(CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})))
     assert run(["eval", "--cycles", str(cycles), "--t", "1/3"]) == 0
     assert capsys.readouterr().out.strip() == "-inf"
     assert run(["eval", "--cycles", str(cycles), "--t", "1/5"]) == 0

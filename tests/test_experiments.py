@@ -267,7 +267,6 @@ def _weight_tables(draw):
 @example(w=np.exp(64.0 * log_abs_term_array(np.arange(1, 301), 7e-9))
          / np.arange(1, 301), seed=4, excess=0.0)  # tilted to a subnormal total
 @example(w=np.array([1.0, 2.0, 3.0]), seed=5, excess=0.5)
-@example(w=np.array([1.0, 0.0, np.inf, 2.0]), seed=6, excess=0.0)  # overflowed tilt
 def test_guide_walk_matches_searchsorted(w, seed, excess):
     cum = np.cumsum(w)
     # the total may exceed cum[-1] (pairwise vs running sum); excess makes
@@ -337,7 +336,7 @@ def test_poisson_vs_permutation_truncated_counts():
     perm_totals = np.empty(draws, dtype=np.int64)
     for i in range(draws):
         cs = sample_cycle_structure(n, rng)
-        perm_totals[i] = sum(c for ell, c in cs.counts.items() if ell <= cutoff)
+        perm_totals[i] = cs.counts[cs.lengths <= cutoff].sum()
     pois_totals = stream(101, "artapois").poisson(
         harmonic_sum(1, cutoff + 1), size=draws
     )

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permfield.cycles import (
-    CycleStructure,
-    PoissonCounts,
+    CycleCounts,
     sample_cycle_structure,
     sample_poisson_counts,
 )
@@ -27,7 +26,7 @@ from permfield.field import (
 )
 from permfield.streams import stream
 
-FIG_PARTITION = CycleStructure(100, {56: 1, 22: 1, 9: 2, 4: 1})
+FIG_PARTITION = CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})
 
 
 def test_log_abs_term_values():
@@ -55,12 +54,12 @@ def test_arg_term_values():
 
 
 def test_eval_point_examples():
-    spec = FieldSpec(counts=CycleStructure(2, {1: 2}))
+    spec = FieldSpec(counts=CycleCounts.from_dict(2, {1: 2}))
     assert eval_point(spec, Fraction(1, 2)) == pytest.approx(2 * math.log(2), abs=1e-14)
     # a length divisible by 3 forces the singularity at t = 1/3
     assert eval_point(FieldSpec(counts=FIG_PARTITION), Fraction(1, 3)) == NEG_INF
     assert eval_point(FieldSpec(counts=FIG_PARTITION), Fraction(0)) == NEG_INF
-    assert eval_point(FieldSpec(counts=CycleStructure(5, {5: 1})), 0.0) == NEG_INF
+    assert eval_point(FieldSpec(counts=CycleCounts.from_dict(5, {5: 1})), 0.0) == NEG_INF
 
 
 def test_imaginary_kind_always_finite():
@@ -93,12 +92,12 @@ def test_split_field_consistency():
             assert low + high == pytest.approx(total, abs=1e-9)
         # high part bounded by log2 times the number of high cycles
         cutoff = n // w
-        high_cycles = sum(c for ell, c in cs.counts.items() if ell > cutoff)
+        high_cycles = int(cs.counts[cs.lengths > cutoff].sum())
         assert high <= math.log(2) * high_cycles + 1e-9
 
 
 def test_split_field_boundary_w_equals_n():
-    cs = CycleStructure(10, {1: 2, 3: 1, 5: 1})
+    cs = CycleCounts.from_dict(10, {1: 2, 3: 1, 5: 1})
     low, high = split_field(FieldSpec(counts=cs), 10, 0.37)
     # low covers only fixed points
     assert low == pytest.approx(2 * log_abs_term(0.37), abs=1e-12)
@@ -119,7 +118,7 @@ def test_eval_point_exact_rational_vs_mpmath():
         if v == NEG_INF:
             continue
         ref = mp.mpf(0)
-        for ell, c in cs.counts.items():
+        for ell, c in zip(cs.lengths.tolist(), cs.counts.tolist()):
             u = mp.mpf((ell * num) % den) / den
             ref += c * mp.log(2 * mp.sin(mp.pi * u))
         assert abs(v - float(ref)) <= 1e-9
@@ -127,7 +126,7 @@ def test_eval_point_exact_rational_vs_mpmath():
 
 
 def test_scan_max_fixed_point_mesh4():
-    res = scan_max(FieldSpec(counts=CycleStructure(1, {1: 1})), Mesh(q=4))
+    res = scan_max(FieldSpec(counts=CycleCounts.from_dict(1, {1: 1})), Mesh(q=4))
     assert res.index == 2
     assert res.value == pytest.approx(math.log(2), abs=1e-15)
 
@@ -135,7 +134,7 @@ def test_scan_max_fixed_point_mesh4():
 def test_scan_max_single_long_cycle():
     for n in (25, 100):
         mesh = Mesh(q=2 * n, theta_num=1, theta_den=7)
-        res = scan_max(FieldSpec(counts=CycleStructure(n, {n: 1})), mesh)
+        res = scan_max(FieldSpec(counts=CycleCounts.from_dict(n, {n: 1})), mesh)
         assert abs(res.value - math.log(2)) < 1e-3
 
 
@@ -153,18 +152,18 @@ def test_scan_matches_eval_point_on_trace():
 
 def test_scan_exact_singularities_on_unrotated_mesh():
     # 3 * (j/12) is an integer exactly at j in {0, 4, 8}
-    res = scan_max(FieldSpec(counts=CycleStructure(3, {3: 1})), Mesh(q=12),
+    res = scan_max(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1})), Mesh(q=12),
                    want_trace=True)
     singular = {j for j in range(12) if res.trace[j] == NEG_INF}
     assert singular == {0, 4, 8}
-    imag = scan_max(FieldSpec(counts=CycleStructure(3, {3: 1}), kind="imag"),
+    imag = scan_max(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1}), kind="imag"),
                     Mesh(q=12), want_trace=True)
     assert np.isfinite(imag.trace).all()
 
 
 def test_imag_identity_permutation_bounded_by_pi():
     # two fixed points: max Im = 2 * max arg term, strictly below pi
-    res = scan_max(FieldSpec(counts=CycleStructure(2, {1: 2}), kind="imag"),
+    res = scan_max(FieldSpec(counts=CycleCounts.from_dict(2, {1: 2}), kind="imag"),
                    Mesh(q=4096, theta_num=1, theta_den=7))
     assert res.value < math.pi
     assert res.value == pytest.approx(2 * arg_term(Mesh(q=4096, theta_num=1,
@@ -173,7 +172,7 @@ def test_imag_identity_permutation_bounded_by_pi():
 
 
 def test_scan_all_neg_inf_returns_smallest_index():
-    res = scan_max(FieldSpec(counts=CycleStructure(1, {1: 1})), Mesh(q=1))
+    res = scan_max(FieldSpec(counts=CycleCounts.from_dict(1, {1: 1})), Mesh(q=1))
     assert res.index == 0 and res.value == NEG_INF
 
 
@@ -188,7 +187,7 @@ def test_scan_thread_count_invariance():
         assert base.index == multi.index
         assert base.value == multi.value  # bitwise
         assert np.array_equal(base.trace, multi.trace)
-        assert base.terms == multi.terms == mesh.q * len(cs.counts)
+        assert base.terms == multi.terms == mesh.q * len(cs.lengths)
         # the pruned scan: same maximum, and the same work at any thread count
         one = scan_max(spec, mesh, threads=1)
         eight = scan_max(spec, mesh, threads=8)
@@ -217,14 +216,14 @@ def scan_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=scan_cases(), threads=st.sampled_from([1, 2, 8]))
-@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2})), Mesh(q=3)), threads=1)
-@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2})), Mesh(q=199)), threads=2)
-@example(case=(FieldSpec(counts=CycleStructure(2, {1: 2}), kind="imag"), Mesh(q=64)),
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(2, {1: 2})), Mesh(q=3)), threads=1)
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(2, {1: 2})), Mesh(q=199)), threads=2)
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(2, {1: 2}), kind="imag"), Mesh(q=64)),
          threads=1)
-@example(case=(FieldSpec(counts=CycleStructure(1, {1: 1})), Mesh(q=1)), threads=8)
-@example(case=(FieldSpec(counts=CycleStructure(3, {3: 1}), truncation=2), Mesh(q=130)),
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(1, {1: 1})), Mesh(q=1)), threads=8)
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1}), truncation=2), Mesh(q=130)),
          threads=2)
-@example(case=(FieldSpec(counts=CycleStructure(6, {2: 3})), Mesh(q=2 * BLOCK + 2)),
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(6, {2: 3})), Mesh(q=2 * BLOCK + 2)),
          threads=8)
 def test_pruned_scan_matches_full_trace(case, threads):
     # differential test: branch and bound against the argmax of the full trace
@@ -251,7 +250,7 @@ def test_mesh_supremum_factor_14():
 
 
 def test_capacity_errors():
-    cs = CycleStructure(10, {10: 1})
+    cs = CycleCounts.from_dict(10, {10: 1})
     big = Fraction(1, 2**127)
     with pytest.raises(CapacityError):
         eval_point(FieldSpec(counts=cs), big)
@@ -277,7 +276,7 @@ def test_field_spec_validation():
 
 
 def test_trace_csv_format():
-    res = scan_max(FieldSpec(counts=CycleStructure(3, {3: 1})), Mesh(q=12),
+    res = scan_max(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1})), Mesh(q=12),
                    want_trace=True)
     text = write_trace_csv(Mesh(q=12), res.trace)
     lines = text.splitlines()
@@ -288,11 +287,11 @@ def test_trace_csv_format():
 
 
 def test_scan_respects_truncation():
-    cs = CycleStructure(12, {1: 2, 4: 1, 6: 1})
+    cs = CycleCounts.from_dict(12, {1: 2, 4: 1, 6: 1})
     mesh = Mesh(q=64, theta_num=1, theta_den=7)
     full = scan_max(FieldSpec(counts=cs), mesh, want_trace=True)
     low = scan_max(FieldSpec(counts=cs, truncation=4), mesh, want_trace=True)
-    ref = scan_max(FieldSpec(counts=CycleStructure(6, {1: 2, 4: 1})), mesh,
+    ref = scan_max(FieldSpec(counts=CycleCounts.from_dict(6, {1: 2, 4: 1})), mesh,
                    want_trace=True)
     assert np.array_equal(low.trace, ref.trace)
     assert not np.array_equal(low.trace, full.trace)
@@ -310,9 +309,9 @@ def test_scan_negative_rotation_matches_eval():
 
 
 def test_eval_point_accepts_integer_t():
-    spec = FieldSpec(counts=CycleStructure(3, {3: 1}))
+    spec = FieldSpec(counts=CycleCounts.from_dict(3, {3: 1}))
     assert eval_point(spec, 0) == NEG_INF
-    assert eval_point(FieldSpec(counts=CycleStructure(3, {3: 1}), kind="imag"), 1) \
+    assert eval_point(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1}), kind="imag"), 1) \
         == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
@@ -328,7 +327,7 @@ def test_resolve_threads_env(monkeypatch):
 
 
 def test_poisson_counts_field():
-    pc = PoissonCounts(max_len=50, counts={2: 1, 7: 2})
+    pc = CycleCounts.from_dict(50, {2: 1, 7: 2})
     spec = FieldSpec(counts=pc)
     v = eval_point(spec, 0.2)
     expected = log_abs_term(0.4) + 2 * log_abs_term(0.4)

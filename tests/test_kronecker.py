@@ -113,8 +113,9 @@ def test_decay_envelope_sentinel_at_two():
 
 
 def test_decay_envelope_check_raises():
-    # the check flag trips on a slope above the bound; beta=1 never does
-    slope, _ = decay_envelope(1.0, 64, check=True)
+    # the slope check always runs and trips on a slope above the bound;
+    # beta=1 never does
+    slope, _ = decay_envelope(1.0, 64)
     assert slope <= -1.4
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from permfield import ratefn
-from permfield.errors import AccuracyError, DomainError, UnsupportedError
+from permfield.errors import AccuracyError, DomainError
 from permfield.streams import stream
 
 LOG2 = math.log(2.0)
@@ -137,38 +137,36 @@ def test_bahadur_rao_assembly_and_monotonicity():
 
 
 def test_tilted_sampler_limits_and_errors():
-    with pytest.raises(UnsupportedError):
-        ratefn.make_tilted_sampler(65.0)
-    with pytest.raises(DomainError):
-        ratefn.make_tilted_sampler(0.0)
+    rng = stream(13, "tilt0")
+    for beta in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            ratefn.sample_tilted_v(beta, rng)
     # beta -> 0: uniform on the torus
-    sampler = ratefn.make_tilted_sampler(1e-9)
-    u = ratefn.sample_tilted_v(sampler, stream(13, "tilt0"), size=200000)
+    u = ratefn.sample_tilted_v(1e-9, rng, size=200000)
     assert abs(u.mean() - 0.5) < 3 * 0.2887 / math.sqrt(len(u))
     assert abs(u.var() - 1 / 12) < 5e-4
 
 
 def test_tilted_sampler_moments_match_cgf_derivatives():
-    sol = ratefn.solve_critical()
-    beta = sol.beta_crit
-    sampler = ratefn.make_tilted_sampler(beta)
-    u = ratefn.sample_tilted_v(sampler, stream(17, "tiltmom"), size=1000000)
-    v = np.log(2.0 * np.sin(math.pi * u))
-    d1, d2 = ratefn.log_mgf_derivs(beta)
-    se_mean = v.std(ddof=1) / math.sqrt(len(v))
-    assert abs(v.mean() - d1) < 3 * se_mean
-    # variance of V under the tilt equals the second cumulant derivative
-    var = v.var(ddof=1)
-    se_var = math.sqrt(2.0 / (len(v) - 1)) * var  # normal-theory scale, ample
-    assert abs(var - d2) < 4 * se_var
+    # the critical tilt, and the tilt of y = 0.693 that tilted_tail_estimate
+    # draws at (no cap on beta)
+    for beta in (ratefn.solve_critical().beta_crit, 3397.0):
+        u = ratefn.sample_tilted_v(beta, stream(17, "tiltmom"), size=1000000)
+        v = np.log(2.0 * np.sin(math.pi * u))
+        d1, d2 = ratefn.log_mgf_derivs(beta)
+        se_mean = v.std(ddof=1) / math.sqrt(len(v))
+        assert abs(v.mean() - d1) < 3 * se_mean
+        # variance of V under the tilt equals the second cumulant derivative
+        var = v.var(ddof=1)
+        se_var = math.sqrt(2.0 / (len(v) - 1)) * var  # normal-theory scale, ample
+        assert abs(var - d2) < 4 * se_var
 
 
 def test_sample_tilted_v_scalar_and_range():
-    sampler = ratefn.make_tilted_sampler(11.746)
     rng = stream(31, "tiltscalar")
-    u = ratefn.sample_tilted_v(sampler, rng)
+    u = ratefn.sample_tilted_v(11.746, rng)
     assert 0.0 <= float(u) <= 1.0
-    arr = ratefn.sample_tilted_v(sampler, rng, size=1000)
+    arr = ratefn.sample_tilted_v(11.746, rng, size=1000)
     assert arr.shape == (1000,)
     assert (arr >= 0.0).all() and (arr <= 1.0).all()
     # the tilt concentrates mass near the mode at 1/2
@@ -177,8 +175,7 @@ def test_sample_tilted_v_scalar_and_range():
 
 def test_tilted_density_histogram():
     beta = 3.0
-    sampler = ratefn.make_tilted_sampler(beta)
-    u = ratefn.sample_tilted_v(sampler, stream(19, "tilthist"), size=200000)
+    u = ratefn.sample_tilted_v(beta, stream(19, "tilthist"), size=200000)
     z = math.exp(ratefn.log_mgf(beta))
     edges = np.linspace(0.0, 1.0, 41)
     observed, _ = np.histogram(u, bins=edges)
