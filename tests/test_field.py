@@ -11,17 +11,24 @@ from permfield.cycles import (
     sample_cycle_structure,
     sample_poisson_counts,
 )
+from permfield import field
 from permfield.errors import CapacityError, InvalidArgumentError
 from permfield.field import (
     BLOCK,
+    INT64_SAFE,
     NEG_INF,
+    RUNS,
     FieldSpec,
     Mesh,
+    _bound_runs,
+    _lengths,
+    _run_sup,
     arg_term,
     eval_point,
     log_abs_term,
     scan_max,
     split_field,
+    term_array,
     write_trace_csv,
 )
 from permfield.streams import stream
@@ -234,6 +241,112 @@ def test_pruned_scan_matches_full_trace(case, threads):
     assert res.index == k
     assert res.value == float(full.trace[k])
     assert res.terms <= full.terms
+
+
+@st.composite
+def residue_runs(draw):
+    """A run of m residues a + k s mod d, k < m, turning less than a period."""
+    kind = draw(st.sampled_from(["real", "imag"]))
+    m = draw(st.sampled_from(RUNS))
+    # d just below 2^62 puts the last residue near 2^63: 2b would overflow
+    d = draw(st.integers(m, 10**6) | st.integers(INT64_SAFE - 10**6, INT64_SAFE - 1))
+    s = draw(st.integers(1, (d - 1) // (m - 1)))
+    span = (m - 1) * s
+    # edges: a zero at either end, a half-integer at either end, a wrap
+    edge = draw(st.sampled_from([0, d // 2 - span, d // 2, (d + 1) // 2, d - span,
+                                 d - span // 2, 3 * d // 2 - span]))
+    a = draw(st.integers(0, d - 1) | st.integers(-2, 2).map(lambda k: (edge + k) % d))
+    return kind, d, a, s, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=residue_runs())
+@example(case=("real", INT64_SAFE - 1, INT64_SAFE - 2, (INT64_SAFE - 2) // 63, 64))
+@example(case=("real", 4096 * 3 + 1, 0, 2, 4096))
+@example(case=("imag", INT64_SAFE - 3, INT64_SAFE - 4, (INT64_SAFE - 4) // 4095, 4096))
+def test_run_sup_bounds_dense_terms(case):
+    # the bound of one run and length against the term at every point in it
+    kind, d, a, s, m = case
+    b = a + (m - 1) * s
+    dense = term_array((a + s * np.arange(m, dtype=np.int64)) % d, d, kind)
+    bound = float(_run_sup(np.array([a]), np.array([b]), d, kind)[0])
+    assert dense.max() <= bound + 1e-15 * (1.0 + abs(bound))
+    ends = max(dense[0], dense[-1]) if kind == "real" else dense[-1]
+    if kind == "imag":
+        peak = b >= d  # (a, b] holds the integer d
+    else:  # [a, b] holds d/2 or 3d/2 (exact Python integers)
+        peak = any(2 * a <= (2 * k + 1) * d <= 2 * b for k in (0, 1))
+    # tight: the peak value, or exactly the term at an endpoint
+    assert bound == ((math.pi / 2.0 if kind == "imag" else math.log(2.0)) if peak else ends)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scan_cases(), m=st.sampled_from(RUNS), rank=st.floats(0.0, 1.0))
+def test_bound_runs_keep_every_run_reaching_the_floor(case, m, rank):
+    # a run whose bound passes drop holds no point at or above the level,
+    # including the lengths that turn a full period over the run
+    spec, mesh = case
+    trace = scan_max(spec, mesh, threads=1, want_trace=True).trace
+    level = float(np.sort(trace)[int(rank * (mesh.q - 1))])
+    lengths, counts = _lengths(spec)
+    q, td, tn = mesh.q, mesh.theta_den, mesh.theta_num
+    d, qtd = q * q * td, q * td
+    ells = lengths.tolist()
+    residues = np.array([ell % q for ell in ells], dtype=np.int64)
+    offsets = np.array([(ell * tn) % d for ell in ells], dtype=np.int64)
+    per = math.pi / 2.0 if spec.kind == "imag" else math.log(2.0)
+    total = int(counts.sum())
+    slack = 1e-9 * (1.0 + abs(level) + per * total)
+    floors = [level - slack - per * (total - c) for c in np.cumsum(counts).tolist()]
+    starts = np.arange(0, q, m, dtype=np.int64)
+    kept, bounds = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
+                               spec.kind, floors)
+    reached = [j0 for j0 in starts.tolist() if trace[j0:j0 + m].max() >= level]
+    assert set(reached) <= set(kept.tolist())
+    assert bounds <= len(starts) * len(ells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=scan_cases())
+def test_scan_bounds_thread_count_invariance(case):
+    spec, mesh = case
+    one, two, eight = (scan_max(spec, mesh, threads=t) for t in (1, 2, 8))
+    assert (one.index, one.value, one.terms, one.bounds) \
+        == (two.index, two.value, two.terms, two.bounds) \
+        == (eight.index, eight.value, eight.terms, eight.bounds)
+    n_lengths = len(_lengths(spec)[0])
+    assert one.bounds <= 2 * n_lengths * (-(-mesh.q // 64) + -(-mesh.q // 4096))
+    assert one.terms <= mesh.q * n_lengths  # no (point, length) term twice
+
+
+def test_scan_counters_do_not_depend_on_task_size(monkeypatch):
+    # runs and points are bounded and dropped one by one, so the work is
+    # the same however the mesh is cut into tasks and threads
+    cs = sample_cycle_structure(10**5, stream(79, "tasks"))
+    mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
+    for kind in ("real", "imag"):
+        spec = FieldSpec(counts=cs, kind=kind)
+        ref = scan_max(spec, mesh, threads=1)
+        monkeypatch.setattr(field, "PRUNE_SPAN", BLOCK)
+        for threads in (1, 2, 8):
+            res = scan_max(spec, mesh, threads=threads)
+            assert (res.index, res.value, res.terms, res.bounds) \
+                == (ref.index, ref.value, ref.terms, ref.bounds)
+        monkeypatch.undo()
+        assert 0 < ref.bounds and 0 < ref.terms < mesh.q * len(cs.lengths) // 8
+
+
+def test_term_array_buffer_matches_fresh_fold():
+    # the buffered fold is the integer fold, rounded, also just below 2^62
+    rng = np.random.default_rng(7)
+    for d in (12, 10**6 + 3, INT64_SAFE - 1):
+        num = rng.integers(0, d, size=4096, dtype=np.int64)
+        num[:3] = (0, d // 2, d - 1)
+        with np.errstate(divide="ignore"):
+            fresh = np.log(2.0 * np.sin(np.pi * (np.minimum(num, d - num) / d)))
+        buf = np.full(len(num), np.nan)
+        assert np.array_equal(term_array(num, d, "real", out=buf), fresh)
+        assert np.array_equal(term_array(num, d, "imag", out=buf), np.pi * (num / d - 0.5))
 
 
 def test_mesh_supremum_factor_14():

@@ -262,7 +262,22 @@ def test_iid_tail_domain_and_accuracy_errors():
             ratefn.iid_tail(y, 8)
     with pytest.raises(DomainError):
         ratefn.iid_tail(0.3, 0)
-    # beta ~ 7e4: the log-gamma differences lose ~9 digits times q = 1000,
-    # so QUADPACK cannot certify the tolerance and no value is returned
+    # q = 1e9: the peak of the integrand at s = 0 is ~1e-4 wide, QUADPACK's
+    # nodes miss it, and an integral of 0 certifies nothing
     with pytest.raises(AccuracyError):
-        ratefn.iid_tail(0.69314, 1000)
+        ratefn.iid_tail(0.3, 10**9)
+
+
+def test_iid_tail_near_log2():
+    # beta ~ 7e4: subtracting log-gamma values near 3e5 leaves ~1e-10 of
+    # rounding, which q multiplies past what QUADPACK can certify; the
+    # Stirling difference does not cancel. At q = 1000 the tail, ~e^-5300,
+    # underflows to 0.0 on both sides
+    y = 0.69314
+    for q in (128, 1000):
+        assert ratefn.iid_tail(y, q) == pytest.approx(ratefn.bahadur_rao_tail(y, q),
+                                                      rel=1.0 / q, abs=0.0)
+    exact = ratefn.iid_tail(y, 128)
+    assert exact > 1e-297
+    est, se = ratefn.tilted_tail_estimate(y, 128, 20000, stream(41, "iidtail-log2"))
+    assert 0.0 < se and abs(est - exact) <= 4 * se
