@@ -8,6 +8,7 @@ from .arith import (
     BohrSpec,
     arithmetic_distance,
     classify,
+    major_ranges,
     mesh_bohr_count,
     torus_norm,
     vinogradov_detect,

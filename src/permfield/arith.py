@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidArgumentError
+from .field import _scan_capacity_check, _sides
 
 __all__ = [
     "ArcClassification",
@@ -21,6 +22,7 @@ __all__ = [
     "classify",
     "arithmetic_distance",
     "mesh_bohr_count",
+    "major_ranges",
     "vinogradov_detect",
 ]
 
@@ -97,29 +99,49 @@ def arithmetic_distance(s, t, xi0):
     return best
 
 
+def _bohr_ranges(mesh, xi, kappa):
+    """Index ranges [a, b) of the mesh points t with ||xi t|| <= kappa.
+
+    kappa is a Fraction. Mesh points are {j/q + shift : 0 <= j < q}; the
+    arcs [(i - kappa)/xi, (i + kappa)/xi] are lifted to the stretch of the
+    real line covering them, one range per arc, in ascending order (they
+    overlap once kappa >= 1/2). O(xi) work in exact rational arithmetic.
+    """
+    q = mesh.q
+    shift = Fraction(mesh.theta_num, q * q * mesh.theta_den)  # theta / q^2
+    for i in range(math.floor(xi * shift - kappa), math.ceil(xi * (1 + shift) + kappa) + 1):
+        a = max(math.ceil(q * (Fraction(i - kappa, xi) - shift)), 0)
+        b = min(math.floor(q * (Fraction(i + kappa, xi) - shift)) + 1, q)
+        if a < b:
+            yield a, b
+
+
 def mesh_bohr_count(mesh, spec):
     """Exact number of mesh points t with ||xi t|| <= kappa.
 
     Counts integers j per arc of the Bohr set in exact rational
     arithmetic, O(xi) work; never enumerates the q mesh points.
     """
-    xi = abs(spec.xi)
-    kappa = Fraction(spec.kappa)
-    q = mesh.q
-    shift = Fraction(mesh.theta_num, q * q * mesh.theta_den)  # theta / q^2
-    # Mesh points are {j/q + shift : 0 <= j < q}; lift the Bohr arcs
-    # [(i - kappa)/xi, (i + kappa)/xi] to the real line covering them.
-    i_lo = math.floor(xi * shift - kappa)
-    i_hi = math.ceil(xi * (1 + shift) + kappa)
-    count = 0
-    for i in range(i_lo, i_hi + 1):
-        j_lo = math.ceil(q * (Fraction(i - kappa, xi) - shift))
-        j_hi = math.floor(q * (Fraction(i + kappa, xi) - shift))
-        j_lo = max(j_lo, 0)
-        j_hi = min(j_hi, q - 1)
-        if j_hi >= j_lo:
-            count += j_hi - j_lo + 1
-    return count
+    return sum(b - a for a, b in _bohr_ranges(mesh, abs(spec.xi), Fraction(spec.kappa)))
+
+
+def major_ranges(mesh, xi0, kappa):
+    """Maj(xi0, kappa) on the mesh: sorted, disjoint index ranges [a, b).
+
+    Mesh point j is major iff ||xi t_j|| <= kappa for some 1 <= xi <= xi0,
+    the membership classify decides, compared exactly with Fraction(kappa).
+    Every kappa >= 1/2 makes every point major. O(xi0^2) work; never
+    enumerates the q mesh points. A mesh past the int64 limit of the scan
+    raises CapacityError.
+    """
+    if xi0 < 1:
+        raise InvalidArgumentError(f"xi0 must be >= 1, got {xi0}")
+    if not kappa > 0.0:
+        raise InvalidArgumentError(f"kappa must be positive, got {kappa}")
+    _scan_capacity_check(mesh, 1)
+    kappa = Fraction(kappa)
+    arcs = (r for xi in range(1, xi0 + 1) for r in _bohr_ranges(mesh, xi, kappa))
+    return _sides(arcs, mesh.q)[0]
 
 
 def vinogradov_detect(t, interval_len, kappa, delta):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from . import ratefn
-from .arith import arithmetic_distance, classify
+from .arith import arithmetic_distance, classify, major_ranges
 from .cycles import (
     _harmonic_cumsum,
     block_bounds,
@@ -656,12 +656,12 @@ def run_arc_profile(config):
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["replica", "major_sup", "minor_sup", "minor_ratio",
                       "distinct_lengths"]
-    pts = mesh.points_float()
-    major_mask = np.zeros(mesh.q, dtype=bool)
-    for xi in range(1, config.xi0 + 1):
-        frac = np.mod(xi * pts, 1.0)
-        major_mask |= np.minimum(frac, 1.0 - frac) <= kappa
-    minor_mask = ~major_mask
+    major = major_ranges(mesh, config.xi0, kappa)
+    n_major = sum(b - a for a, b in major)
+    if n_major in (0, mesh.q):
+        raise ConfigError(
+            f"Maj(xi0={config.xi0}, kappa={kappa!r}) holds {n_major} of the q = "
+            f"{mesh.q} mesh points: the {'minor' if n_major else 'major'} side is empty")
     logn = math.log(n)
     major_ok = minor_ok = 0
     minor_ratios = []
@@ -670,9 +670,8 @@ def run_arc_profile(config):
         rng = stream(config.seed, name, 0, r)
         pc = sample_poisson_counts(n, rng)
         spec = FieldSpec(counts=pc, kind="real")
-        res = scan_max(spec, mesh, threads=config.threads, want_trace=True)
-        major_sup = float(np.max(res.trace[major_mask]))
-        minor_sup = float(np.max(res.trace[minor_mask]))
+        (_, major_sup), (_, minor_sup) = scan_max(spec, mesh, threads=config.threads,
+                                                  ranges=major).split
         zero_vals.append(eval_point(spec, Fraction(0)) if len(pc.lengths) else NEG_INF)
         major_ok += major_sup <= 0.0
         minor_ok += minor_sup > 0.0

@@ -42,8 +42,8 @@ __all__ = [
 NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
-BLOCK = 1 << 16  # mesh points per traced scan task and per _scan_block call
-PRUNE_SPAN = 1 << 18  # mesh points per task of the bound passes
+BLOCK = 1 << 16  # points per _scan_block call, per traced task and per sample task
+PRUNE_SPAN = 1 << 18  # mesh points per window of pieces bounded in one task
 THRESHOLD_STRIDE = 64  # every 64th mesh point sets the pruning threshold
 RUNS = (4096, THRESHOLD_STRIDE)  # run lengths of the bound passes, coarse to fine
 LENGTH_GROUP = 32  # lengths per vectorized step of a bound pass
@@ -79,13 +79,6 @@ class Mesh:
             self.q * self.q * self.theta_den
         )
 
-    def points_float(self):
-        d = self.q * self.q * self.theta_den
-        if d >= INT64_SAFE:
-            raise CapacityError(f"q^2 * theta_den = {d} exceeds the int64-safe range")
-        j = np.arange(self.q, dtype=np.int64)
-        return (j * (self.q * self.theta_den) + self.theta_num) / d
-
 
 @dataclass
 class FieldSpec:
@@ -111,6 +104,7 @@ class ScanResult:
     trace: Optional[np.ndarray] = None
     terms: int = 0  # (point, length) terms evaluated: q * #lengths for a traced scan
     bounds: int = 0  # (run, length) bounds computed by the untraced scan
+    split: Optional[tuple] = None  # ((index, value) inside the ranges, outside)
 
 
 def log_abs_term(u, exact_zero=None):
@@ -365,46 +359,68 @@ def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind, 
 
 def _first_max(results):
     """(index, value) of the maximum over block results, smallest index on
-    ties; (0, -inf) when every value is -inf or nothing is left."""
-    best_j, best_val = 0, NEG_INF
+    ties; (None, -inf) when there is no point."""
+    best_j, best_val = None, NEG_INF
     for j, acc, _ in results:
         if len(acc):
             k = int(np.argmax(acc))
             v, jk = float(acc[k]), int(j[k])
-            if v > best_val or (v == best_val and jk < best_j):
+            if best_j is None or v > best_val or (v == best_val and jk < best_j):
                 best_j, best_val = jk, v
     return best_j, best_val
 
 
-def scan_max(spec, mesh, threads=None, want_trace=False):
+def _sides(ranges, q):
+    """The union of the index ranges [a, b), merged, and its complement in [0, q)."""
+    inside = []
+    for a, b in sorted((int(a), int(b)) for a, b in ranges):
+        if not 0 <= a <= b <= q:
+            raise InvalidArgumentError(f"index range [{a}, {b}) outside [0, {q}]")
+        if inside and a <= inside[-1][1]:
+            inside[-1] = (inside[-1][0], max(inside[-1][1], b))
+        elif a < b:
+            inside.append((a, b))
+    edges = [0] + [e for r in inside for e in r] + [q]
+    return inside, [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
+
+
+def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     """Exact maximizer of the field over all mesh points.
 
     Deterministic parallel reduction over contiguous ranges of mesh
     points; the result is bit-identical for every thread count. Ties,
     including the all--inf mesh, resolve to the smallest index.
 
+    ranges, an iterable of half-open index ranges [a, b) within [0, q),
+    splits the mesh in two sides: the points in their union and the rest.
+    ScanResult.split is then ((index, value) inside, (index, value)
+    outside), each the side's first maximizer, or (None, -inf) for a side
+    without points; index and value stay the whole-mesh maximum. Without
+    ranges the mesh is one side.
+
     Without a trace the scan is an exact branch and bound. First every
-    64th mesh point and the last one are evaluated in full; their best
-    value is the threshold, which no thread schedule can change. Then runs
-    of 4096 and then of 64 consecutive points are bounded, coarse to fine,
-    before any of their points is evaluated. Over a run, ell t sweeps an
-    interval whose two ends are exact residues, and the term's supremum
-    there is exact: for the real kind log 2 if the interval holds a
-    half-integer, else the term at the end farther from an integer (the
-    term is concave between integers); for the imaginary kind pi/2 if it
-    holds an integer, else the term at its right end (the term increases
-    between integers); c log 2 or c pi/2 once the run turns ell t through
-    a full period. A run whose bound lies strictly below threshold - slack
-    cannot hold the maximum. The points of the surviving 64-runs then run
-    through the lengths in ascending order and are dropped as soon as
-    their partial sum plus c log 2 (c pi/2) per remaining length falls
-    below that level. Survivors are summed in the same order with the
-    same operations as the full scan, so their values are bit-identical
-    to it. ScanResult.terms counts the (point, length) terms evaluated,
-    each at most once, and ScanResult.bounds the (run, length) bounds
-    computed; both depend on the inputs alone. On sampled permutations at
-    N = 10^6 the terms are 1.5-3% of q * #distinct lengths, most of them
-    the sample's 1/64.
+    64th mesh point and the last one are evaluated in full; the best value
+    of those on a side is that side's threshold, which no thread schedule
+    can change (-inf for a side holding none of them, so nothing on it is
+    pruned). Then runs of 4096 and then of 64 consecutive points of a
+    side's ranges are bounded, coarse to fine, before any of their points
+    is evaluated. Over a run, ell t sweeps an interval whose two ends are
+    exact residues, and the term's supremum there is exact: for the real
+    kind log 2 if the interval holds a half-integer, else the term at the
+    end farther from an integer (the term is concave between integers);
+    for the imaginary kind pi/2 if it holds an integer, else the term at
+    its right end (the term increases between integers); c log 2 or c pi/2
+    once the run turns ell t through a full period. A run whose bound lies
+    strictly below its side's threshold - slack cannot hold that side's
+    maximum. The points of the surviving 64-runs then run through the
+    lengths in ascending order and are dropped as soon as their partial
+    sum plus c log 2 (c pi/2) per remaining length falls below that level.
+    Survivors are summed in the same order with the same operations as the
+    full scan, so their values are bit-identical to it. ScanResult.terms
+    counts the (point, length) terms evaluated, each at most once, and
+    ScanResult.bounds the (run, length) bounds computed; both depend on
+    the inputs alone. On sampled permutations at N = 10^6 the terms are
+    1.5-3% of q * #distinct lengths, most of them the sample's 1/64.
 
     want_trace=True evaluates every term and returns the field on the
     whole mesh.
@@ -419,14 +435,14 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
     offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
     n_threads = resolve_threads(threads)
     kind = spec.kind
+    sides = [[(0, q)]] if ranges is None else _sides(ranges, q)
 
-    def evaluate(rng):
-        j = np.arange(*rng, dtype=np.int64)
+    def evaluate(j):
         return _scan_block(j, q, qtd, d, residues, offsets, counts, kind)
 
-    def prune(rng, floors):
-        # bound passes over the whole range, then the survivors block by block
-        j0, j1 = rng
+    def prune(piece):
+        # bound passes over the piece's range, then the survivors block by block
+        s, j0, j1, floors = piece
         starts, bounds = np.arange(j0, j1, RUNS[0], dtype=np.int64), 0
         for m, sub in zip(RUNS, RUNS[1:] + (1,)):
             starts, b = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets,
@@ -436,8 +452,8 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
             starts = starts[starts < j1]
         # the threshold sample is already summed
         j = starts[(starts % THRESHOLD_STRIDE != 0) & (starts != q - 1)]
-        return [_scan_block(j[i:i + BLOCK], q, qtd, d, residues, offsets, counts, kind,
-                            floors) for i in range(0, len(j), BLOCK)], bounds
+        return s, [_scan_block(j[i:i + BLOCK], q, qtd, d, residues, offsets, counts, kind,
+                               floors) for i in range(0, len(j), BLOCK)], bounds
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         def run(work, tasks):
@@ -445,29 +461,54 @@ def scan_max(spec, mesh, threads=None, want_trace=False):
                 return list(pool.map(work, tasks))
             return [work(task) for task in tasks]
 
-        if want_trace:
-            results = run(evaluate, [(j0, min(j0 + BLOCK, q)) for j0 in range(0, q, BLOCK)])
-            trace, bounds = np.concatenate([acc for _, acc, _ in results]), 0
+        # the whole mesh, or the threshold sample: every 64th point, then the last
+        step = 1 if want_trace else THRESHOLD_STRIDE
+        j = np.arange(0, q - 1 + step, step, dtype=np.int64)
+        j[-1] = q - 1
+        full = run(evaluate, [j[i:i + BLOCK] for i in range(0, len(j), BLOCK)])
+        terms, bounds = sum(t for _, _, t in full), 0
+        if ranges is None:
+            results = [list(full)]
         else:
-            span = BLOCK * THRESHOLD_STRIDE
-            sample = run(evaluate, [(j0, min(j0 + span, q - 1), THRESHOLD_STRIDE)
-                                    for j0 in range(0, q - 1, span)] + [(q - 1, q)])
-            threshold = _first_max(sample)[1]
+            ends, results = [e for r in sides[0] for e in r], [[], []]
+            for jb, acc, _ in full:
+                # a point is inside iff an odd number of range ends lie at or below it
+                inside = np.searchsorted(ends, jb, side="right") % 2 == 1
+                results[0].append((jb[inside], acc[inside], 0))
+                results[1].append((jb[~inside], acc[~inside], 0))
+        if not want_trace:
             per = math.pi / 2.0 if kind == "imag" else math.log(2.0)
             total = int(counts.sum())
-            # the rounding of the sums and of the bounds stays far below 1e-9
-            # of the largest partial sum a survivor can reach; a -inf threshold
-            # gives an infinite slack and all floors -inf, so nothing is dropped
-            slack = 1e-9 * (1.0 + abs(threshold) + per * total)
-            floors = [threshold - slack - per * (total - s)
-                      for s in np.cumsum(counts).tolist()]
-            pruned = run(lambda rng: prune(rng, floors),
-                         [(j0, min(j0 + PRUNE_SPAN, q)) for j0 in range(0, q, PRUNE_SPAN)])
-            results = sample + [part for parts, _ in pruned for part in parts]
-            trace, bounds = None, sum(b for _, b in pruned)
-    best_j, best_val = _first_max(results)
+            tasks = {}
+            for s, side in enumerate(sides):
+                threshold = max((float(acc.max()) for _, acc, _ in results[s] if len(acc)),
+                                default=NEG_INF)
+                # the rounding of the sums and of the bounds stays far below 1e-9
+                # of the largest partial sum a survivor can reach; a -inf threshold
+                # gives an infinite slack and all floors -inf, so nothing is dropped
+                slack = 1e-9 * (1.0 + abs(threshold) + per * total)
+                floors = [threshold - slack - per * (total - c)
+                          for c in np.cumsum(counts).tolist()]
+                # the pieces starting in one PRUNE_SPAN window of the mesh are one
+                # task: the many short ranges of a small mesh are pruned on one
+                # thread, as a second one running such short numpy calls would
+                # only contend with it for the GIL
+                for a, b in side:
+                    for j0 in range(a, b, PRUNE_SPAN):
+                        tasks.setdefault(j0 // PRUNE_SPAN, []).append(
+                            (s, j0, min(j0 + PRUNE_SPAN, b), floors))
+            done = run(lambda task: [prune(piece) for piece in task], list(tasks.values()))
+            for s, parts, b in (out for task in done for out in task):
+                results[s] += parts
+                terms += sum(t for _, _, t in parts)
+                bounds += b
+    split = [_first_max(side) for side in results]
+    best_j, best_val = min((r for r in split if r[0] is not None),
+                           key=lambda r: (-r[1], r[0]))
+    trace = np.concatenate([acc for _, acc, _ in full]) if want_trace else None
     return ScanResult(index=best_j, value=best_val, trace=trace,
-                      terms=sum(t for _, _, t in results), bounds=bounds)
+                      terms=terms, bounds=bounds,
+                      split=None if ranges is None else tuple(split))
 
 
 def write_trace_csv(mesh, trace):

@@ -2,17 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfield.arith import (
     ArcClassification,
     BohrSpec,
     arithmetic_distance,
     classify,
+    major_ranges,
     mesh_bohr_count,
     torus_norm,
     vinogradov_detect,
 )
-from permfield.errors import InvalidArgumentError
+from permfield.errors import CapacityError, InvalidArgumentError
 from permfield.field import Mesh
 from permfield.streams import stream
 
@@ -163,6 +166,47 @@ def test_mesh_bohr_count_kappa_to_zero():
         c = mesh_bohr_count(Mesh(q=q, theta_num=0, theta_den=1),
                             BohrSpec(xi=xi, kappa=1e-15))
         assert c in (0, math.gcd(xi, q)) and c <= xi
+
+
+@st.composite
+def arc_meshes(draw):
+    """A small mesh, rotated or not, with xi0 and kappa of the major arcs."""
+    q = draw(st.integers(1, 300))
+    theta_den = draw(st.integers(1, 9))
+    theta_num = draw(st.just(0) | st.integers(-theta_den, theta_den))
+    xi0 = draw(st.integers(1, 6))
+    # kappa at a boundary: on an unrotated mesh every ||xi t_j|| is some m/q,
+    # and k/(xi q) rounded to a float falls on either side of such a value
+    boundary = st.builds(lambda k, xi: float(Fraction(k, xi * q)),
+                         st.integers(1, q // 3 + 1), st.integers(1, xi0))
+    kappa = draw(st.floats(1e-6, 0.499) | boundary.filter(lambda k: 0.0 < k < 0.5))
+    return Mesh(q=q, theta_num=theta_num, theta_den=theta_den), xi0, kappa
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arc_meshes())
+def test_major_ranges_match_classify_pointwise(case):
+    mesh, xi0, kappa = case
+    ranges = major_ranges(mesh, xi0, kappa)
+    assert all(0 <= a < b <= mesh.q for a, b in ranges)
+    # sorted, disjoint and merged
+    assert all(b < a for (_, b), (a, _) in zip(ranges, ranges[1:]))
+    members = {j for a, b in ranges for j in range(a, b)}
+    for j in range(mesh.q):
+        assert (j in members) == (classify(mesh.point(j), xi0, kappa).kind == "major")
+    assert mesh_bohr_count(mesh, BohrSpec(xi=1, kappa=kappa)) \
+        == sum(b - a for a, b in major_ranges(mesh, 1, kappa))
+
+
+def test_major_ranges_limits():
+    assert major_ranges(Mesh(q=10, theta_num=1, theta_den=7), 3, 0.5) == [(0, 10)]
+    assert major_ranges(Mesh(q=10, theta_num=1, theta_den=7), 3, 1e-9) == []
+    with pytest.raises(InvalidArgumentError):
+        major_ranges(Mesh(q=10), 0, 0.1)
+    with pytest.raises(InvalidArgumentError):
+        major_ranges(Mesh(q=10), 2, 0.0)
+    with pytest.raises(CapacityError):
+        major_ranges(Mesh(q=3 * 10**9, theta_num=1, theta_den=7), 5, 0.01)
 
 
 def test_vinogradov_detection():

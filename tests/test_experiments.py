@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from permfield import ratefn
+from permfield import experiments, ratefn
 from permfield.cycles import harmonic_sum, sample_cycle_structure
 from permfield.errors import ConfigError
 from permfield.experiments import (
@@ -327,6 +327,21 @@ def test_arc_profile_minor_ratio_bracket():
     report = run_arc_profile(cfg)
     med = report.cells[0]["minor_ratio"]["median"]
     assert 0.3 < med < 0.75
+
+
+@pytest.mark.parametrize("overrides, empty", [
+    (dict(alpha=0.05), "minor"),  # kappa = 100^-0.05 > 1/2
+    (dict(kappa=0.49), "minor"),  # ||t|| > 0.49 puts ||2t|| < 0.02
+    (dict(alpha=5.0), "major"),  # kappa = 1e-10 misses every rotated point
+])
+def test_arc_profile_rejects_an_empty_side(monkeypatch, overrides, empty):
+    def no_draws(*args):
+        raise AssertionError("a replica was drawn")
+
+    monkeypatch.setattr(experiments, "sample_poisson_counts", no_draws)
+    cfg = default_config("arc-profile", seed=1, n_values=(100,), **overrides)
+    with pytest.raises(ConfigError, match=rf"xi0=5, kappa=.* q = 200 .*the {empty} side"):
+        run_arc_profile(cfg)
 
 
 def test_poisson_vs_permutation_truncated_counts():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,89 @@ def test_pruned_scan_matches_full_trace(case, threads):
 
 
 @st.composite
+def range_scan_cases(draw):
+    """A scan case and index ranges: none, the whole mesh, one point, two
+    adjacent ranges (the first shorter than 64 points) or any few."""
+    spec, mesh = draw(scan_cases())
+    q = mesh.q
+    pick = draw(st.sampled_from(["none", "whole", "point", "adjacent", "any"]))
+    if pick == "none":
+        ranges = []
+    elif pick == "whole":
+        ranges = [(0, q)]
+    elif pick == "point":
+        j = draw(st.integers(0, q - 1))
+        ranges = [(j, j + 1)]
+    elif pick == "adjacent":
+        a = draw(st.integers(0, q))
+        b = draw(st.integers(a, min(q, a + 63)))
+        ranges = [(a, b), (b, draw(st.integers(b, q)))]
+    else:
+        ends = sorted(draw(st.lists(st.integers(0, q), max_size=8)))
+        ranges = list(zip(ends[::2], ends[1::2]))
+    return spec, mesh, ranges
+
+
+def _first_argmax(trace, mask):
+    if not mask.any():
+        return None, NEG_INF
+    k = int(np.argmax(trace[mask]))
+    return int(np.flatnonzero(mask)[k]), float(trace[mask][k])
+
+
+# ties: the length-2 field on an unrotated mesh of q = 2 mod 4 points peaks
+# at the four points next to t = 1/4 and 3/4 (j = 32, 33, 97, 98 at q = 130)
+TIES = FieldSpec(counts=CycleCounts.from_dict(6, {2: 3}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=range_scan_cases())
+@example(case=(TIES, Mesh(q=130), [(33, 98)]))
+@example(case=(TIES, Mesh(q=130), [(33, 34), (34, 97)]))
+@example(case=(TIES, Mesh(q=2 * BLOCK + 2), [(BLOCK // 2 + 1, 3 * BLOCK // 2 + 2)]))
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(1, {1: 1})), Mesh(q=1), [(0, 1)]))
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(1, {1: 1})), Mesh(q=1), []))
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(2, {1: 2}), kind="imag"), Mesh(q=200),
+               [(199, 200)]))
+def test_range_scan_matches_masked_trace(case):
+    # differential test: each side's pruned maximum against the masked trace
+    spec, mesh, ranges = case
+    mask = np.zeros(mesh.q, dtype=bool)
+    for a, b in ranges:
+        mask[a:b] = True
+    full = scan_max(spec, mesh, threads=1, want_trace=True, ranges=ranges)
+    expected = (_first_argmax(full.trace, mask), _first_argmax(full.trace, ~mask))
+    assert full.split == expected
+    k = int(np.argmax(full.trace))
+    results = [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (1, 2, 8)]
+    # 4096-point prune tasks and 64-point blocks spread the sample and the
+    # ranges of both sides over the threads
+    with mock.patch.multiple(field, PRUNE_SPAN=RUNS[0], BLOCK=64):
+        results += [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (2, 8)]
+    for res in results:
+        assert res.split == expected
+        assert (res.index, res.value) == (k, float(full.trace[k]))
+        assert res.trace is None and res.terms <= full.terms
+    assert len({(res.split, res.terms, res.bounds) for res in results}) == 1
+
+
+def test_scan_work_without_ranges_is_unchanged():
+    # the whole mesh is one side: the same work as the scan before ranges
+    cs = sample_cycle_structure(10**5, stream(79, "threads"))
+    mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
+    for kind, terms, bounds in (("real", 115571, 17081), ("imag", 46580, 1091)):
+        res = scan_max(FieldSpec(counts=cs, kind=kind), mesh, threads=1)
+        assert (res.terms, res.bounds, res.split) == (terms, bounds, None)
+
+
+def test_scan_rejects_ranges_outside_the_mesh():
+    spec = FieldSpec(counts=CycleCounts.from_dict(2, {1: 2}))
+    for ranges in ([(0, 11)], [(-1, 3)], [(5, 4)]):
+        with pytest.raises(InvalidArgumentError):
+            scan_max(spec, Mesh(q=10), ranges=ranges)
+
+
+@st.composite
 def residue_runs(draw):
     """A run of m residues a + k s mod d, k < m, turning less than a period."""
     kind = draw(st.sampled_from(["real", "imag"]))
@@ -378,7 +462,6 @@ def test_mesh_validation_and_points():
         Mesh(q=4, theta_num=9, theta_den=7)
     mesh = Mesh(q=4, theta_num=1, theta_den=7)
     assert mesh.point(1) == Fraction(1 * 4 * 7 + 1, 16 * 7)
-    assert mesh.points_float()[1] == pytest.approx(float(mesh.point(1)), abs=1e-18)
 
 
 def test_field_spec_validation():
