@@ -1,0 +1,67 @@
+"""Print sha256 prefixes of the canonical reports, to check byte identity.
+
+Run from the repository root:
+
+    python3 scripts/report_hashes.py > hashes.txt
+
+Each line is ``label json-sha256 csv-sha256`` (the first 8 hex digits of
+``json_bytes()`` and of ``csv_text()``); the scan line has one hash, of the
+standard output of ``permfield scan --n 1000000 --seed 4``. The runs are
+the reduced configurations of acceptance criterion 14 at seed 12 with 1
+and 2 threads, the default seed-1 conditional-tail, two-point and
+arc-profile reports and the default seed-4 lln and imag reports. Run it
+on two commits and diff the outputs: a refactor that keeps every report
+prints the same lines.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from permfield.cli import run  # noqa: E402
+from permfield.experiments import default_config, run_experiment  # noqa: E402
+
+# the reduced configurations of tests/test_acceptance.py, criterion 14
+REDUCED = {
+    "lln": dict(replicas=3, n_values=(500, 5000)),
+    "imag": dict(replicas=3, n_values=(5000,)),
+    "clt": dict(replicas=100, n_values=(10**4,)),
+    "conditional-tail": dict(samples=30000),
+    "two-point": dict(samples=10000, y=0.25),
+    "arc-profile": dict(replicas=8, n_values=(20000,)),
+    "occupancy": dict(replicas=500),
+}
+DEFAULTS = [("conditional-tail", 1), ("two-point", 1), ("arc-profile", 1),
+            ("lln", 4), ("imag", 4)]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:8]
+
+
+def _report_line(label, name, config):
+    report = run_experiment(name, config)
+    return f"{label} {_sha(report.json_bytes())} {_sha(report.csv_text().encode())}"
+
+
+def main():
+    for name, overrides in REDUCED.items():
+        for threads in (1, 2):
+            config = default_config(name, seed=12, threads=threads, **overrides)
+            print(_report_line(f"reduced/{name}/threads{threads}", name, config),
+                  flush=True)
+    for name, seed in DEFAULTS:
+        print(_report_line(f"default/{name}/seed{seed}", name,
+                           default_config(name, seed=seed)), flush=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["scan", "--n", "1000000", "--seed", "4"])
+    print(f"scan/n1000000/seed4 {_sha(out.getvalue().encode())} exit{code}")
+
+
+if __name__ == "__main__":
+    main()

@@ -26,7 +26,10 @@ __all__ = ["run", "main"]
 
 
 def _parse_theta(text):
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidArgumentError(f"theta {text!r} has denominator 0") from None
     if abs(frac) > 1:
         raise InvalidArgumentError("|theta| must be <= 1")
     return frac.numerator, frac.denominator
@@ -140,7 +143,7 @@ def _cmd_ratefn_table(args):
              "y": [0.0, y_top]},
         ]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot(report, "line"))
+            fh.write(emit_plot(report))
     return 0
 
 
@@ -190,7 +193,7 @@ def _cmd_scan(args):
         report = ExperimentReport(name=f"scan-n{args.n}", seed=args.seed, config={})
         report.series = [{"name": "field (bucket minima)", "x": xs, "y": ys}]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot(report, "line"))
+            fh.write(emit_plot(report))
     return 0
 
 
@@ -242,7 +245,7 @@ def _cmd_experiment(args):
     if args.svg and report.series:
         svg_path = json_path[:-5] + ".svg"
         with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot(report, "line"))
+            fh.write(emit_plot(report))
         written.append(svg_path)
     for v in report.verdicts:
         tag = "PASS" if v["passed"] else ("WARN" if v["warning"] else "FAIL")

@@ -150,11 +150,8 @@ def block_bounds(k, rho):
 
 
 def block_mean(k, rho):
-    """Expected cycle count of block k: sum of 1/ell over the block."""
-    a, b = block_bounds(k, rho)
-    if b <= a:
-        return 0.0
-    return harmonic_sum(a, b)
+    """Expected cycle count of block k: sum of 1/ell over the block, 0 if empty."""
+    return harmonic_sum(*block_bounds(k, rho))
 
 
 def sample_cycle_structure(n, rng):
@@ -184,22 +181,67 @@ def exact_cycle_type_probability(structure):
     return math.exp(logp)
 
 
-@lru_cache(maxsize=64)
-def _harmonic_cumsum(a, b):
-    return np.cumsum(1.0 / np.arange(a, b, dtype=np.int64))
+def guide_table(cum, total):
+    """Guide table ("indexed search") over a cumulative weight array.
+
+    Chen & Asau (1974); Devroye, Non-Uniform Random Variate Generation
+    (1986), III.2.4. With G = len(cum) buckets, guide[g] is the first index
+    i with floor(cum[i] / total * G) >= g, clipped to G - 1. The bucket map
+    x / total * G divides first, in two rounded steps that are each
+    monotone in x, so for a uniform u the bucket min(floor(u / total * G),
+    G - 1) never starts past the answer of the inverse-CDF search, and
+    guide_index only walks forward from it.
+    """
+    size = len(cum)
+    pos = np.floor(cum / total * size)
+    guide = np.searchsorted(pos, np.arange(size), side="left")
+    np.minimum(guide, size - 1, out=guide)
+    return {"cum": cum, "total": total, "guide": guide}
+
+
+def guide_index(table, u):
+    """np.searchsorted(cum, u, side="left") clipped to len(cum) - 1, exactly.
+
+    Starts each u at its bucket's guide entry and steps the still-active
+    indices forward while cum[idx] < u and idx is not the last index.
+    """
+    cum, guide = table["cum"], table["guide"]
+    last = len(cum) - 1
+    bucket = np.minimum(u / table["total"] * len(cum), last)
+    idx = guide[bucket.astype(np.int64)]
+    active = np.flatnonzero((cum[idx] < u) & (idx < last))
+    while active.size:
+        idx[active] += 1
+        step = idx[active]
+        active = active[(cum[step] < u[active]) & (step < last)]
+    return idx
+
+
+@lru_cache(maxsize=256)
+def one_over_ell_table(a, b):
+    """(lengths, table): arange(a, b) and the guide_table of P(ell) ~ 1/ell on it.
+
+    The table's cum is cumsum(1 / lengths) and its total cum[-1]. Cached
+    per range and shared by every caller, the arrays are read-only.
+    """
+    if b <= a:
+        raise InvalidArgumentError(f"empty integer range [{a}, {b})")
+    lengths = np.arange(a, b, dtype=np.int64)
+    cum = np.cumsum(1.0 / lengths)
+    table = guide_table(cum, float(cum[-1]))
+    for arr in (lengths, cum, table["guide"]):
+        arr.setflags(write=False)
+    return lengths, table
 
 
 def _sample_one_over_ell(a, b, size, rng):
     """i.i.d. draws from P(ell) proportional to 1/ell on integers [a, b)."""
     a, b = int(a), int(b)
-    if b <= a:
-        raise InvalidArgumentError(f"empty integer range [{a}, {b})")
-    if b - a == 1:
-        return np.full(size, a, dtype=np.int64)
     if b - a <= 4096:
-        w = _harmonic_cumsum(a, b)
-        u = rng.random(size) * w[-1]
-        return a + np.searchsorted(w, u, side="left").astype(np.int64)
+        # a handful of draws per call: searchsorted beats the guide walk here
+        cum = one_over_ell_table(a, b)[1]["cum"]
+        u = rng.random(size) * cum[-1]
+        return a + np.searchsorted(cum, u, side="left").astype(np.int64)
     # Long range: floor of a log-uniform proposal, thinned to the exact pmf.
     # Acceptance ratio (a*log(1+1/a)) / (ell*log(1+1/ell)) is in (0, 1].
     log_ratio = math.log(b / a)
@@ -231,10 +273,7 @@ def sample_poisson_counts(max_len, rng):
 
 def sample_block_cycle(k, rho, rng, size=None):
     """Length of the single cycle of block k: P(ell) = (1/ell) / rho_k on the block."""
-    a, b = block_bounds(k, rho)
-    if b <= a:
-        raise InvalidArgumentError(f"block k={k} at rho={rho} contains no integer")
-    draws = _sample_one_over_ell(a, b, 1 if size is None else size, rng)
+    draws = _sample_one_over_ell(*block_bounds(k, rho), 1 if size is None else size, rng)
     return int(draws[0]) if size is None else draws
 
 

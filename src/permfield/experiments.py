@@ -20,13 +20,15 @@ from scipy import optimize
 from . import ratefn
 from .arith import arithmetic_distance, classify, major_ranges
 from .cycles import (
-    _harmonic_cumsum,
     block_bounds,
     block_mean,
+    guide_index,
+    guide_table,
+    one_over_ell_table,
     sample_cycle_structure,
     sample_poisson_counts,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .field import (
     NEG_INF,
     FieldSpec,
@@ -71,16 +73,16 @@ OCC_CHUNK = 256
 
 def parse_torus_point(spec):
     """Torus point from a string: exact "p/q", decimal, or a named irrational."""
-    if isinstance(spec, (float, Fraction)):
-        return spec
     text = str(spec).strip()
     if text in ("golden", "phi"):
         return GOLDEN
     if text in ("sqrt2",):
         return SQRT2
     if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/"))
+        if den == 0:
+            raise InvalidArgumentError(f"torus point {text!r} has denominator 0")
+        return Fraction(num, den)
     return float(text)
 
 
@@ -210,11 +212,8 @@ def _run_scan(config, kind):
         # trend across sizes: a least-squares slope over all replicas is far
         # less noisy than comparing consecutive 20-replica cell medians
         # (whose differences wobble by ~0.07 under the flat desk-scale truth)
-        xs, ys = [], []
-        for row in report.rows:
-            if row[0] >= 2:
-                xs.append(math.log(row[0]))
-                ys.append(row[4])
+        xs = [math.log(row[0]) for row in report.rows]
+        ys = [row[4] for row in report.rows]
         slope = (float(np.polyfit(xs, ys, 1)[0])
                  if len(set(xs)) > 1 else 0.0)
         report.add_verdict(
@@ -238,12 +237,12 @@ def run_imag_scan(config):
 # central limit theorem at a fixed point
 
 
-def run_clt_check(config, t=None):
+def run_clt_check(config):
     """Distribution of the field at one point against the CLT normalization."""
     from scipy import stats as sstats
 
     name = config.name or "clt"
-    point = parse_torus_point(t if t is not None else (config.t or "golden"))
+    point = parse_torus_point(config.t or "golden")
     n = config.n_values[-1]
     norm = math.sqrt((math.pi**2 / 12.0) * math.log(n))
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
@@ -313,86 +312,38 @@ def run_clt_check(config, t=None):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _guide_table(cum, total):
-    """Guide table ("indexed search") over a cumulative weight array.
-
-    Chen & Asau (1974); Devroye, Non-Uniform Random Variate Generation
-    (1986), III.2.4. With G = len(cum) buckets, guide[g] is the first index
-    i with floor(cum[i] / total * G) >= g, clipped to G - 1. The bucket map
-    x / total * G divides first, in two rounded steps that are each
-    monotone in x, so for a uniform u the bucket min(floor(u / total * G),
-    G - 1) never starts past the answer of the inverse-CDF search, and
-    _guide_index only walks forward from it.
-    """
-    size = len(cum)
-    pos = np.floor(cum / total * size)
-    guide = np.searchsorted(pos, np.arange(size), side="left")
-    np.minimum(guide, size - 1, out=guide)
-    return {"cum": cum, "total": total, "guide": guide}
-
-
-def _guide_index(table, u):
-    """np.searchsorted(cum, u, side="left") clipped to len(cum) - 1, exactly.
-
-    Starts each u at its bucket's guide entry and steps the still-active
-    indices forward while cum[idx] < u and idx is not the last index.
-    """
-    cum, guide = table["cum"], table["guide"]
-    last = len(cum) - 1
-    bucket = np.minimum(u / table["total"] * len(cum), last)
-    idx = guide[bucket.astype(np.int64)]
-    active = np.flatnonzero((cum[idx] < u) & (idx < last))
-    while active.size:
-        idx[active] += 1
-        step = idx[active]
-        active = active[(cum[step] < u[active]) & (step < last)]
-    return idx
-
-
-@lru_cache(maxsize=256)
-def _conditional_table(a, b):
-    # the conditional pmf of a block does not depend on the point t, so it
-    # and its guide are built once per block, not once per two-point point;
-    # every caller shares the cached arrays, which are only read
-    lengths = np.arange(a, b, dtype=np.int64)
-    table = _guide_table(_harmonic_cumsum(a, b), float((1.0 / lengths).sum()))
-    for arr in (lengths, table["cum"], table["guide"]):
-        arr.setflags(write=False)
-    return lengths, table
-
-
 def _block_tables(blocks, rho, t, beta=None):
     """Per-block lengths, term values at t, and guide tables of the pmf.
 
-    With beta=None the pmf is the conditional one (proportional to 1/ell,
-    its cumulative weights from cycles._harmonic_cumsum, its table cached
-    per block); otherwise it is tilted by e^{beta V}, its weights
-    e^{beta (V - max V)} / ell are finite at any tilt, and log_phi holds the
-    log normalizer beta max V + log(total / rho_k). Returns a list of dicts
-    with the keys of _guide_table plus "lengths", "vals", "log_phi".
+    With beta=None the pmf is the conditional one, proportional to 1/ell,
+    and its table is the one cycles.one_over_ell_table caches per block;
+    otherwise it is tilted by e^{beta V}, its weights e^{beta (V - max V)} /
+    ell are finite at any tilt, and log_phi holds the log normalizer
+    beta max V + log(total / rho_k). Returns a list of dicts with the keys
+    of cycles.guide_table plus "lengths", "vals", "log_phi".
     """
     tables = []
     tf = float(t)
     for k in blocks:
-        a, b = block_bounds(k, rho)
-        if b <= a:
-            raise ConfigError(f"block k={k} at rho={rho} contains no integer")
-        if beta is None:
-            lengths, table = _conditional_table(a, b)
-            vals = log_abs_term_array(lengths, tf)
-            log_phi = 0.0
-        else:
-            lengths = np.arange(a, b, dtype=np.int64)
-            vals = log_abs_term_array(lengths, tf)
+        lengths, table = one_over_ell_table(*block_bounds(k, rho))
+        vals = log_abs_term_array(lengths, tf)
+        log_phi = 0.0
+        if beta is not None:
             top = float(vals.max())
             if top == NEG_INF:
                 raise ConfigError(f"every length of block k={k} is a zero of "
                                   f"the field at t={t}: the tilt has no mass")
             w = np.exp(beta * (vals - top)) / lengths
-            table = _guide_table(np.cumsum(w), float(w.sum()))
+            table = guide_table(np.cumsum(w), float(w.sum()))
             log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
         tables.append(dict(table, lengths=lengths, vals=vals, log_phi=log_phi))
     return tables
+
+
+def _chunks(total, size):
+    """(index, length) of the consecutive chunks of at most size that make up total."""
+    for index, start in enumerate(range(0, total, size)):
+        yield index, min(size, total - start)
 
 
 def _block_draws(tables, samples, seed_args, *other_vals):
@@ -407,19 +358,14 @@ def _block_draws(tables, samples, seed_args, *other_vals):
     one more sum.
     """
     value_sets = ([tb["vals"] for tb in tables],) + other_vals
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        mlen = min(CHUNK, samples - done)
+    for chunk_idx, mlen in _chunks(samples, CHUNK):
         rng = stream(*seed_args, chunk_idx)
         sums = [np.zeros(mlen) for _ in value_sets]
         for i, tb in enumerate(tables):
-            idx = _guide_index(tb, rng.random(mlen) * tb["total"])
+            idx = guide_index(tb, rng.random(mlen) * tb["total"])
             for acc, vals in zip(sums, value_sets):
                 acc += vals[i][idx]
         yield chunk_idx, sums
-        done += mlen
-        chunk_idx += 1
 
 
 def _conditional_tail(tables, beta, threshold, samples, seed_args):
@@ -527,13 +473,13 @@ def run_conditional_tail(config):
 # two-point decorrelation
 
 
-def _calibrate_level(q, target=1e-2):
-    """Level y in [0.05, x*] whose exact i.i.d. q-block tail is target.
+def _calibrate_level(q):
+    """Level y in [0.05, x*] whose exact i.i.d. q-block tail is 10^-2.
 
     Solved on ratefn.iid_tail rather than on the Bahadur-Rao asymptotic,
     whose prefactor is about 11% high at q = 32 near this level.
     """
-    return optimize.brentq(lambda y: ratefn.iid_tail(y, q) - target,
+    return optimize.brentq(lambda y: ratefn.iid_tail(y, q) - 1e-2,
                            0.05, _critical().x_crit)
 
 
@@ -562,9 +508,6 @@ def run_two_point(config):
         pairs.append((arithmetic_distance(s, t, xi0), s, t))
     pairs.sort()
     n_buckets = 4
-    bucket_of = {}
-    for i, p in enumerate(pairs):
-        bucket_of[p] = min(i * n_buckets // n_pairs, n_buckets - 1)
 
     bucket_acc = [dict(samples=0, hits_s=0, hits_t=0, hits_joint=0, corrs=[])
                   for _ in range(n_buckets)]
@@ -592,7 +535,7 @@ def run_two_point(config):
         var_s = sum_s2 / nn - (sum_s / nn) ** 2
         var_t = sum_t2 / nn - (sum_t / nn) ** 2
         corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
-        bucket = bucket_of[(dist, s, t)]
+        bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
         acc = bucket_acc[bucket]
         acc["samples"] += nn
         acc["hits_s"] += hits_s
@@ -721,10 +664,7 @@ def run_occupancy(config):
                       "sum_tot", "sum_sq_tot"]
     rho_vec = np.array([block_mean(k, rho) for k in range(m, n)])
     sums = np.zeros(5)
-    done = 0
-    chunk_idx = 0
-    while done < config.replicas:
-        sz = min(OCC_CHUNK, config.replicas - done)
+    for chunk_idx, sz in _chunks(config.replicas, OCC_CHUNK):
         rng = stream(config.seed, name, chunk_idx)
         cnt = rng.poisson(lam=rho_vec, size=(sz, nb))
         q1 = (cnt == 1).sum(axis=1).astype(float)
@@ -734,8 +674,6 @@ def run_occupancy(config):
                       (tot * tot).sum()]
         sums += np.array(chunk_sums)
         report.rows.append([chunk_idx, sz] + [float(v) for v in chunk_sums])
-        done += sz
-        chunk_idx += 1
     reps = config.replicas
     mean_q1, mean_q2, mean_tot = sums[0] / reps, sums[2] / reps, sums[3] / reps
     var_q1 = max(sums[1] / reps - mean_q1**2, 0.0)

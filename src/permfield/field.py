@@ -107,18 +107,16 @@ class ScanResult:
     split: Optional[tuple] = None  # ((index, value) inside the ranges, outside)
 
 
-def log_abs_term(u, exact_zero=None):
+def log_abs_term(u):
     """log|1 - e(u)| = log(2 |sin pi u|); -inf exactly at u == 0 mod 1.
 
-    exact_zero selects how the singularity is detected: None dispatches on
-    the input type (exact for Fraction/int, threshold ||u|| < 1e-15 for
-    float), True forces the exact test, False forces the threshold. The
-    reduction u mod 1 is exact in every case.
+    The singularity test follows the input type: exact for Fraction/int,
+    the threshold ||u|| < 1e-15 for float. The reduction u mod 1 is exact
+    in every case.
     """
     frac, exact = _as_fraction(u)
     d = frac.denominator
-    return _term_from_residue(frac.numerator % d, d, "real",
-                              exact if exact_zero is None else exact_zero)
+    return _term_from_residue(frac.numerator % d, d, "real", exact)
 
 
 def arg_term(u):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from .cycles import block_bounds, block_mean
+from .cycles import block_bounds, block_mean, one_over_ell_table
 from .errors import AccuracyError, CapacityError, DomainError, InvalidArgumentError
 from .field import INT64_SAFE, term_array
 
@@ -118,9 +118,7 @@ def log_average(beta, t, k, rho):
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     a, b = block_bounds(k, rho)
-    if b <= a:
-        raise InvalidArgumentError(f"block k={k} at rho={rho} contains no integer")
-    lengths = np.arange(a, b, dtype=np.int64)
+    lengths, _ = one_over_ell_table(a, b)
     if isinstance(t, Fraction):
         # exact residues: phi vanishes exactly on lattice hits
         p, d = t.numerator, t.denominator

@@ -109,30 +109,42 @@ def log_mgf_derivs(beta):
     return float(d1), float(d2)
 
 
+def _newton(fdf, x, lo, hi, ftol, xtol):
+    """Root of an increasing f in (lo, hi); fdf(x) returns (f(x), f'(x)).
+
+    Newton steps that leave the shrinking bracket become bisections. Stops
+    once |f| <= ftol and the step is at most xtol * max(1, x), or after 200.
+    """
+    for _ in range(200):
+        f, fp = fdf(x)
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        nxt = x - f / fp
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(f) <= ftol and abs(nxt - x) <= xtol * max(1.0, x):
+            return nxt
+        x = nxt
+    return x
+
+
 def _solve_tilt(x):
     """beta with log_mgf'(beta) = x, by safeguarded Newton on a bracket."""
-    lo, hi = 1e-6, 200.0
+    hi = 200.0
     # log_mgf' increases to log 2; grow the bracket for x in the top sliver
     while log_mgf_derivs(hi)[0] < x:
         hi *= 2.0
         if hi > 1e18:
             raise DomainError(f"no tilt parameter found for x = {x}")
-    beta = min(max(1.0, 0.5 / max(LOG2 - x, 1e-18)), hi)
-    for _ in range(200):
-        f, fp = log_mgf_derivs(beta)
-        f -= x
-        if f > 0.0:
-            hi = beta
-        else:
-            lo = beta
-        step = f / fp
-        nxt = beta - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(f) <= 1e-12 and abs(nxt - beta) <= 1e-12 * max(1.0, beta):
-            return nxt
-        beta = nxt
-    return beta
+
+    def fdf(beta):
+        d1, d2 = log_mgf_derivs(beta)
+        return d1 - x, d2
+
+    start = min(max(1.0, 0.5 / max(LOG2 - x, 1e-18)), hi)
+    return _newton(fdf, start, 1e-6, hi, 1e-12, 1e-12)
 
 
 def legendre(x):
@@ -171,22 +183,13 @@ class RateSolution:
 
 def solve_critical():
     """Solve legendre(x) = 1 for the critical constant, plus its tilt data."""
-    lo, hi = 0.05, LOG2 - 1e-12
-    x = 0.65
-    for _ in range(200):
+
+    def fdf(x):
         val, beta = legendre(x)
-        f = val - 1.0
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        nxt = x - f / beta  # d/dx legendre = beta
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(f) <= 1e-13 and abs(nxt - x) <= 1e-14:
-            x = nxt
-            break
-        x = nxt
+        return val - 1.0, beta  # d/dx legendre = beta
+
+    # x* < 1, so the step test is absolute
+    x = _newton(fdf, 0.65, 0.05, LOG2 - 1e-12, 1e-13, 1e-14)
     val, beta = legendre(x)
     _, d2 = log_mgf_derivs(beta)
     return RateSolution(
@@ -310,15 +313,13 @@ def tilted_tail_estimate(y, q, samples, rng):
     batch = max(1, (1 << 22) // q)  # bounds memory: about 4M draws, 32 MB, per batch
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    for start in range(0, samples, batch):
+        m = min(batch, samples - start)
         vals = _tilted_v_values(beta, rng, (m, q))
         ysum = vals.sum(axis=1)
         w = np.where(ysum >= threshold, np.exp(-beta * (ysum - threshold)), 0.0)
         total += float(w.sum())
         total_sq += float((w * w).sum())
-        done += m
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     scale = math.exp(-q * rate)

@@ -48,6 +48,10 @@ class ExperimentConfig:
         self.n_values = tuple(int(v) for v in self.n_values)
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if not self.n_values:
+            raise ConfigError("n_values must not be empty")
         if list(self.n_values) != sorted(self.n_values):
             raise ConfigError("n_values must be sorted ascending")
         if self.kind not in ("real", "imag"):
@@ -60,11 +64,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    def replace(self, **kw):
-        d = asdict(self)
-        d.update(kw)
-        return ExperimentConfig.from_dict(d)
 
     def echo(self):
         d = asdict(self)

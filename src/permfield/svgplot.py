@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG plots (line and histogram) for reports.
+"""Minimal deterministic SVG line plots for reports.
 
 Hand-rolled on purpose: the output must be byte-identical for a fixed
 report, with no library-injected ids or timestamps.
@@ -52,15 +52,11 @@ def _clean_series(report):
     return series
 
 
-def emit_plot(report, kind="line"):
-    """Self-contained SVG for the report's series; deterministic bytes."""
-    if kind not in ("line", "histogram"):
-        raise InvalidArgumentError(f"kind must be line|histogram, got {kind}")
+def emit_plot(report):
+    """Self-contained SVG line plot of the report's series; deterministic bytes."""
     series = _clean_series(report)
     if not series:
         raise InvalidArgumentError("report has no plottable series")
-    if kind == "histogram":
-        series = series[:1]
 
     all_x = [x for s in series for x in s["x"]]
     all_y = [y for s in series for y in s["y"]]
@@ -71,8 +67,6 @@ def emit_plot(report, kind="line"):
         tx = lambda x: x
     x_lo, x_hi = min(tx(x) for x in all_x), max(tx(x) for x in all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    if kind == "histogram":
-        y_lo = min(y_lo, 0.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
@@ -123,36 +117,24 @@ def emit_plot(report, kind="line"):
         f'text-anchor="middle">{title}</text>'
     )
 
-    if kind == "histogram":
-        s = series[0]
-        xs, ys = s["x"], s["y"]
-        bw = (xs[1] - xs[0]) if len(xs) > 1 else (x_hi - x_lo) / 4
-        for x, y in zip(xs, ys):
-            x0, x1 = px(x - bw / 2), px(x + bw / 2)
+    for i, s in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        pts = list(zip(s["x"], s["y"]))
+        if len(pts) == 1:
+            x, y = pts[0]
             parts.append(
-                f'<rect x="{_fmt(x0)}" y="{_fmt(py(y))}" '
-                f'width="{_fmt(max(x1 - x0 - 1, 1))}" '
-                f'height="{_fmt(py(0.0) - py(y))}" fill="{PALETTE[0]}"/>'
+                f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="4" '
+                f'fill="{color}"/>'
             )
-    else:
-        for i, s in enumerate(series):
-            color = PALETTE[i % len(PALETTE)]
-            pts = list(zip(s["x"], s["y"]))
-            if len(pts) == 1:
-                x, y = pts[0]
-                parts.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="4" '
-                    f'fill="{color}"/>'
-                )
-            else:
-                coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+        else:
+            coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
             parts.append(
-                f'<text x="{WIDTH - MR - 6}" y="{MT + 14 + 14 * i}" '
-                f'font-size="11" text-anchor="end" fill="{color}">{s["name"]}</text>'
+                f'<polyline points="{coords}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
             )
+        parts.append(
+            f'<text x="{WIDTH - MR - 6}" y="{MT + 14 + 14 * i}" '
+            f'font-size="11" text-anchor="end" fill="{color}">{s["name"]}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

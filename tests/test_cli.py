@@ -128,28 +128,37 @@ def test_experiment_config_overrides(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))
     assert run(["experiment", "occupancy", "--config", str(bad)]) == 2
+    for name, overrides in (("two-point", {"samples": 0}), ("lln", {"n_values": []})):
+        bad.write_text(json.dumps(overrides))
+        assert run(["experiment", name, "--config", str(bad)]) == 2
+
+
+def test_zero_denominator_exits_2(tmp_path, capsys):
+    cycles = tmp_path / "fig.csv"
+    cycles.write_text(write_cycles_csv(CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})))
+    points = tmp_path / "points.csv"
+    points.write_text("label,t\na,1/0\n")
+    for argv in (["scan", "--n", "100", "--theta", "1/0"],
+                 ["eval", "--cycles", str(cycles), "--t", "1/0"],
+                 ["arcs", "classify", "--xi0", "3", "--kappa", "0.01", "--in", str(points)]):
+        assert run(argv) == 2
+        assert "error: " in capsys.readouterr().err
 
 
 def test_emit_plot_edge_cases():
     report = ExperimentReport(name="t", seed=0, config={})
     with pytest.raises(InvalidArgumentError):
-        emit_plot(report, "line")
+        emit_plot(report)
     report.series = [{"name": "single", "x": [1.0], "y": [2.0]}]
-    svg = emit_plot(report, "line")
+    svg = emit_plot(report)
     assert svg.startswith("<svg") and "circle" in svg
-    with pytest.raises(InvalidArgumentError):
-        emit_plot(report, "scatter")
-    report.series = [{"name": "h", "x": [0.0, 1.0, 2.0], "y": [1, 5, 2]}]
-    hist = emit_plot(report, "histogram")
-    assert hist.count("<rect") >= 3
-    assert emit_plot(report, "histogram") == hist  # deterministic bytes
 
 
 def test_emit_plot_log_axis_for_wide_ranges():
     report = ExperimentReport(name="t", seed=0, config={})
     report.series = [{"name": "s", "x": [1e3, 1e4, 1e5, 1e6],
                       "y": [0.62, 0.64, 0.64, 0.65]}]
-    svg = emit_plot(report, "line")
+    svg = emit_plot(report)
     assert "1e+06" in svg or "1000000" in svg
 
 

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from permfield import experiments, ratefn
-from permfield.cycles import harmonic_sum, sample_cycle_structure
-from permfield.errors import ConfigError
+from permfield.cycles import guide_index, guide_table, harmonic_sum, sample_cycle_structure
+from permfield.errors import ConfigError, InvalidArgumentError
 from permfield.experiments import (
     _calibrate_level,
     _critical,
-    _guide_index,
-    _guide_table,
     default_config,
     parse_torus_point,
     run_arc_profile,
@@ -53,6 +51,10 @@ def test_config_rejects_unknown_and_unsorted():
         ExperimentConfig.from_dict({"name": "x", "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(name="x", n_values=(100, 10))
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"name": "x", "samples": 0})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"name": "x", "n_values": []})
     with pytest.raises(ConfigError):
         default_config("no-such-experiment")
 
@@ -229,6 +231,13 @@ def test_two_point_small():
     assert diag["joint_over_product"] == pytest.approx(1.0 / diag["rate"], rel=1e-9)
 
 
+def test_two_point_refuses_an_empty_block():
+    # rho = 0.05, m = 1: block k = 1 is [2, 2), whose 1/ell table is empty
+    cfg = default_config("two-point", seed=1, m=1, samples=1000, y=0.28)
+    with pytest.raises(InvalidArgumentError, match=r"empty integer range \[2, 2\)"):
+        run_two_point(cfg)
+
+
 # at most 300 weights below 1e250: their sum stays finite; subnormal
 # weights give totals whose inverse overflows
 _weight = st.one_of(st.just(0.0), st.floats(5e-324, 1e250))
@@ -273,7 +282,7 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
     # the gap as large as it could only get for astronomically long tables
     total = float(w.sum()) * (1.0 + excess)
     assume(total > 0.0)  # every tilted weight may underflow: no pmf
-    table = _guide_table(cum, total)
+    table = guide_table(cum, total)
     assert table["guide"].dtype == np.int64 and len(table["guide"]) == len(cum)
     rng = np.random.default_rng(seed)
     u = np.concatenate([
@@ -283,7 +292,7 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
         rng.random(50) * 2.0 * total,  # u beyond cum[-1] clips to the end
     ])
     expected = np.clip(np.searchsorted(cum, u, side="left"), 0, len(cum) - 1)
-    assert np.array_equal(_guide_index(table, u), expected)
+    assert np.array_equal(guide_index(table, u), expected)
 
 
 def test_calibrate_level_solves_exact_tail():

@@ -158,7 +158,10 @@ def test_tilted_sampler_moments_match_cgf_derivatives():
         assert abs(v.mean() - d1) < 3 * se_mean
         # variance of V under the tilt equals the second cumulant derivative
         var = v.var(ddof=1)
-        se_var = math.sqrt(2.0 / (len(v) - 1)) * var  # normal-theory scale, ample
+        # normal-theory scale: it ignores the excess kurtosis of V, and
+        # stream (17, "tiltmom") sits at 3.59 of the 4 standard errors at
+        # beta* (see the FOUND entry on this test in CHANGES.md)
+        se_var = math.sqrt(2.0 / (len(v) - 1)) * var
         assert abs(var - d2) < 4 * se_var
 
 
