@@ -122,6 +122,8 @@ def _run_scan(config, kind):
     witness_identity_ok = True
     witness_hits = 0
     witness_total = 0
+    if config.n_values[-1] < 2:
+        raise ConfigError(f"n = {config.n_values[-1]}: max/log N needs some N >= 2")
     for n in config.n_values:
         if n > 10**8:
             raise ConfigError(f"n = {n} exceeds the 1e8 scan capacity")
@@ -244,6 +246,8 @@ def run_clt_check(config):
     name = config.name or "clt"
     point = parse_torus_point(config.t or "golden")
     n = config.n_values[-1]
+    if n < 2:
+        raise ConfigError(f"n = {n}: the CLT scale sqrt(pi^2/12 log N) is 0 below N = 2")
     norm = math.sqrt((math.pi**2 / 12.0) * math.log(n))
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["n", "replica", "value", "normalized"]

@@ -42,11 +42,12 @@ __all__ = [
 NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
-BLOCK = 1 << 16  # points per _scan_block call, per traced task and per sample task
-PRUNE_SPAN = 1 << 18  # mesh points per window of pieces bounded in one task
-THRESHOLD_STRIDE = 64  # every 64th mesh point sets the pruning threshold
-RUNS = (4096, THRESHOLD_STRIDE)  # run lengths of the bound passes, coarse to fine
+BLOCK = 1 << 16  # points per _scan_block call and per traced task
+PRUNE_SPAN = 1 << 18  # mesh points per window of 4096-runs pruned in one task
+RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
+BEST = (4, 16)  # best runs of each length whose points set the threshold
 LENGTH_GROUP = 32  # lengths per vectorized step of a bound pass
+_PEAK = {"real": math.log(2.0), "imag": math.pi / 2.0}  # the supremum of each term
 INT128_LIMIT = 1 << 127
 INT64_SAFE = 1 << 62
 
@@ -334,7 +335,9 @@ def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind, 
     sums c times the term's supremum over the run, LENGTH_GROUP lengths
     per step, and after each step the runs below the floor of its last
     length are dropped. Returns the surviving starts and the number of
-    (run, length) bounds computed.
+    (run, length) bounds computed; without floors no run is dropped, and
+    the bound of the field over every run, suffix included, comes in
+    place of the starts.
     """
     k = int(np.searchsorted(lengths, (q - 1) // (m - 1), side="right"))
     acc = np.zeros(len(starts))
@@ -347,11 +350,15 @@ def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind, 
         sup *= counts[group]
         acc += sup.sum(axis=1)
         bounds += a.size
+        if floors is None:
+            continue
         keep = acc >= floors[group.stop - 1]
         if not keep.all():
             starts, acc = starts[keep], acc[keep]
             if not len(starts):
                 break
+    if floors is None:
+        return acc + _PEAK[kind] * float(counts[k:].sum()), bounds
     return starts, bounds
 
 
@@ -382,6 +389,14 @@ def _sides(ranges, q):
     return inside, [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
 
 
+def _subruns(starts, m, sub, hi):
+    """Starts of the sub-point runs tiling the m-point runs at starts, cut at
+    the end of each run's index range (hi: the ends of a side's ranges)."""
+    stop = np.repeat(hi[np.searchsorted(hi, starts, side="right")], m // sub)
+    fine = (starts[:, None] + np.arange(0, m, sub)).ravel()
+    return fine[fine < stop]
+
+
 def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     """Exact maximizer of the field over all mesh points.
 
@@ -396,29 +411,31 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     without points; index and value stay the whole-mesh maximum. Without
     ranges the mesh is one side.
 
-    Without a trace the scan is an exact branch and bound. First every
-    64th mesh point and the last one are evaluated in full; the best value
-    of those on a side is that side's threshold, which no thread schedule
-    can change (-inf for a side holding none of them, so nothing on it is
-    pruned). Then runs of 4096 and then of 64 consecutive points of a
-    side's ranges are bounded, coarse to fine, before any of their points
-    is evaluated. Over a run, ell t sweeps an interval whose two ends are
-    exact residues, and the term's supremum there is exact: for the real
-    kind log 2 if the interval holds a half-integer, else the term at the
-    end farther from an integer (the term is concave between integers);
-    for the imaginary kind pi/2 if it holds an integer, else the term at
-    its right end (the term increases between integers); c log 2 or c pi/2
-    once the run turns ell t through a full period. A run whose bound lies
-    strictly below its side's threshold - slack cannot hold that side's
-    maximum. The points of the surviving 64-runs then run through the
-    lengths in ascending order and are dropped as soon as their partial
-    sum plus c log 2 (c pi/2) per remaining length falls below that level.
-    Survivors are summed in the same order with the same operations as the
-    full scan, so their values are bit-identical to it. ScanResult.terms
-    counts the (point, length) terms evaluated, each at most once, and
+    Without a trace the scan is an exact branch and bound on each side.
+    Runs of 4096 and then of 64 consecutive points of the side's ranges
+    are bounded before any of their points is evaluated. Over a run, ell t
+    sweeps an interval whose two ends are exact residues, and the term's
+    supremum there is exact: for the real kind log 2 if the interval holds
+    a half-integer, else the term at the end farther from an integer (the
+    term is concave between integers); for the imaginary kind pi/2 if it
+    holds an integer, else the term at its right end (the term increases
+    between integers); c log 2 or c pi/2 once the run turns ell t through
+    a full period. The threshold is picked best first on a fixed budget:
+    the points of the best 16 64-runs in the best 4 4096-runs of the side
+    (at most 1 024; ranked by bound, ties to the smaller start) are
+    evaluated in full, and their best value is the side's threshold, a
+    function of the inputs alone. A run whose bound lies strictly below
+    the threshold - slack cannot hold that side's maximum. The points of
+    the other surviving 64-runs then run through the lengths in ascending
+    order and are dropped as soon as their partial sum plus c log 2
+    (c pi/2) per remaining length falls below that level. Survivors are
+    summed in the same order with the same operations as the full scan,
+    so their values are bit-identical to it. ScanResult.terms counts the
+    (point, length) terms evaluated, each at most once, and
     ScanResult.bounds the (run, length) bounds computed; both depend on
-    the inputs alone. On sampled permutations at N = 10^6 the terms are
-    1.5-3% of q * #distinct lengths, most of them the sample's 1/64.
+    the inputs alone. A side of one range of at most 1 024 points is
+    evaluated in full by the threshold step; on sampled permutations at
+    N = 10^6 the terms are 0.05-0.1% of q * #distinct lengths.
 
     want_trace=True evaluates every term and returns the field on the
     whole mesh.
@@ -435,23 +452,20 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     kind = spec.kind
     sides = [[(0, q)]] if ranges is None else _sides(ranges, q)
 
-    def evaluate(j):
-        return _scan_block(j, q, qtd, d, residues, offsets, counts, kind)
+    def evaluate(j, floors=None):
+        return _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors)
+
+    def bound(starts, m, floors=None):
+        return _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
+                           kind, floors)
 
     def prune(piece):
-        # bound passes over the piece's range, then the survivors block by block
-        s, j0, j1, floors = piece
-        starts, bounds = np.arange(j0, j1, RUNS[0], dtype=np.int64), 0
-        for m, sub in zip(RUNS, RUNS[1:] + (1,)):
-            starts, b = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets,
-                                    counts, kind, floors)
-            bounds += b
-            starts = (starts[:, None] + np.arange(0, m, sub)).ravel()
-            starts = starts[starts < j1]
-        # the threshold sample is already summed
-        j = starts[(starts % THRESHOLD_STRIDE != 0) & (starts != q - 1)]
-        return s, [_scan_block(j[i:i + BLOCK], q, qtd, d, residues, offsets, counts, kind,
-                               floors) for i in range(0, len(j), BLOCK)], bounds
+        # the surviving 4096-runs' 64-runs not yet evaluated, then their points
+        s, starts, hi, done, floors = piece
+        fine = _subruns(starts, RUNS[0], RUNS[1], hi)
+        fine, bounds = bound(fine[~np.isin(fine, done)], RUNS[1], floors)
+        j = _subruns(fine, RUNS[1], 1, hi)
+        return s, [evaluate(j[i:i + BLOCK], floors) for i in range(0, len(j), BLOCK)], bounds
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         def run(work, tasks):
@@ -459,44 +473,54 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
                 return list(pool.map(work, tasks))
             return [work(task) for task in tasks]
 
-        # the whole mesh, or the threshold sample: every 64th point, then the last
-        step = 1 if want_trace else THRESHOLD_STRIDE
-        j = np.arange(0, q - 1 + step, step, dtype=np.int64)
-        j[-1] = q - 1
-        full = run(evaluate, [j[i:i + BLOCK] for i in range(0, len(j), BLOCK)])
-        terms, bounds = sum(t for _, _, t in full), 0
-        if ranges is None:
-            results = [list(full)]
+        if want_trace:
+            j = np.arange(q, dtype=np.int64)
+            full = run(evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)])
+            terms, bounds = sum(t for _, _, t in full), 0
+            if ranges is None:
+                results = [full]
+            else:
+                ends, results = [e for r in sides[0] for e in r], [[], []]
+                for jb, acc, _ in full:
+                    # a point is inside iff an odd number of range ends lie at or below it
+                    inside = np.searchsorted(ends, jb, side="right") % 2 == 1
+                    results[0].append((jb[inside], acc[inside], 0))
+                    results[1].append((jb[~inside], acc[~inside], 0))
         else:
-            ends, results = [e for r in sides[0] for e in r], [[], []]
-            for jb, acc, _ in full:
-                # a point is inside iff an odd number of range ends lie at or below it
-                inside = np.searchsorted(ends, jb, side="right") % 2 == 1
-                results[0].append((jb[inside], acc[inside], 0))
-                results[1].append((jb[~inside], acc[~inside], 0))
-        if not want_trace:
-            per = math.pi / 2.0 if kind == "imag" else math.log(2.0)
-            total = int(counts.sum())
-            tasks = {}
+            per, total = _PEAK[kind], int(counts.sum())
+            results, terms, bounds, tasks = [], 0, 0, {}
             for s, side in enumerate(sides):
-                threshold = max((float(acc.max()) for _, acc, _ in results[s] if len(acc)),
-                                default=NEG_INF)
+                hi = np.array([b for _, b in side], dtype=np.int64)
+                starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
+                                  dtype=np.int64)
+                coarse, b0 = bound(starts, RUNS[0])
+                # best first, ties to the smaller start; the points go in
+                # index order, as _first_max settles ties by position
+                fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
+                                RUNS[0], RUNS[1], hi)
+                fine_bound, b1 = bound(fine, RUNS[1])
+                done = np.sort(fine[np.lexsort((fine, -fine_bound))[:BEST[1]]])
+                best = evaluate(_subruns(done, RUNS[1], 1, hi))
+                results.append([best])
+                terms, bounds = terms + best[2], bounds + b0 + b1
+                threshold = float(best[1].max()) if len(best[1]) else NEG_INF
                 # the rounding of the sums and of the bounds stays far below 1e-9
                 # of the largest partial sum a survivor can reach; a -inf threshold
                 # gives an infinite slack and all floors -inf, so nothing is dropped
                 slack = 1e-9 * (1.0 + abs(threshold) + per * total)
                 floors = [threshold - slack - per * (total - c)
                           for c in np.cumsum(counts).tolist()]
-                # the pieces starting in one PRUNE_SPAN window of the mesh are one
-                # task: the many short ranges of a small mesh are pruned on one
-                # thread, as a second one running such short numpy calls would
-                # only contend with it for the GIL
-                for a, b in side:
-                    for j0 in range(a, b, PRUNE_SPAN):
-                        tasks.setdefault(j0 // PRUNE_SPAN, []).append(
-                            (s, j0, min(j0 + PRUNE_SPAN, b), floors))
-            done = run(lambda task: [prune(piece) for piece in task], list(tasks.values()))
-            for s, parts, b in (out for task in done for out in task):
+                # the surviving 4096-runs starting in one PRUNE_SPAN window of the
+                # mesh are one task: the many short ranges of a small mesh are
+                # pruned on one thread, as a second one running such short numpy
+                # calls would only contend with it for the GIL
+                kept = starts[coarse >= threshold - slack]
+                for part in np.split(kept, np.flatnonzero(np.diff(kept // PRUNE_SPAN)) + 1):
+                    if len(part):
+                        tasks.setdefault(int(part[0]) // PRUNE_SPAN, []).append(
+                            (s, part, hi, done, floors))
+            pruned = run(lambda task: [prune(piece) for piece in task], list(tasks.values()))
+            for s, parts, b in (out for task in pruned for out in task):
                 results[s] += parts
                 terms += sum(t for _, _, t in parts)
                 bounds += b

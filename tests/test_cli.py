@@ -133,6 +133,15 @@ def test_experiment_config_overrides(tmp_path):
         assert run(["experiment", name, "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("name", ["clt", "lln"])
+def test_n_below_2_exits_2(name, tmp_path, capsys):
+    # log N = 0: the CLT scale and every max/log N ratio are undefined
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_values": [1]}))
+    assert run(["experiment", name, "--config", str(bad)]) == 2
+    assert "error: n = 1" in capsys.readouterr().err
+
+
 def test_zero_denominator_exits_2(tmp_path, capsys):
     cycles = tmp_path / "fig.csv"
     cycles.write_text(write_cycles_csv(CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})))

@@ -232,6 +232,9 @@ def scan_cases(draw):
          threads=2)
 @example(case=(FieldSpec(counts=CycleCounts.from_dict(6, {2: 3})), Mesh(q=2 * BLOCK + 2)),
          threads=8)
+# a symmetric field: tied maxima at j and q - j
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(93, {1: 1, 3: 2, 9: 2, 26: 1, 32: 1})),
+               Mesh(q=65536)), threads=1)
 def test_pruned_scan_matches_full_trace(case, threads):
     # differential test: branch and bound against the argmax of the full trace
     spec, mesh = case
@@ -310,13 +313,36 @@ def test_range_scan_matches_masked_trace(case):
     assert len({(res.split, res.terms, res.bounds) for res in results}) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=scan_cases(), q=st.integers(1, 1024), cut=st.floats(0.0, 1.0),
+       pick=st.sampled_from(["none", "head", "tail"]))
+@example(case=(TIES, Mesh(q=1)), q=1024, cut=0.5, pick="none")
+@example(case=(TIES, Mesh(q=1)), q=1000, cut=0.03, pick="tail")
+def test_small_sides_are_settled_by_the_threshold_step(case, q, cut, pick):
+    # a side of one index range of at most 1 024 points holds at most 16
+    # 64-runs, all of which the threshold step evaluates in full
+    spec, mesh = case
+    mesh = Mesh(q=q, theta_num=mesh.theta_num, theta_den=mesh.theta_den)
+    a = int(cut * q)
+    ranges = {"none": None, "head": [(0, a)], "tail": [(a, q)]}[pick]
+    full = scan_max(spec, mesh, threads=1, want_trace=True, ranges=ranges)
+    k = int(np.argmax(full.trace))
+    for threads in (1, 8):
+        res = scan_max(spec, mesh, threads=threads, ranges=ranges)
+        assert res.terms == full.terms == q * len(_lengths(spec)[0])
+        assert (res.index, res.value, res.split) == (k, float(full.trace[k]), full.split)
+
+
 def test_scan_work_without_ranges_is_unchanged():
     # the whole mesh is one side: the same work as the scan before ranges
     cs = sample_cycle_structure(10**5, stream(79, "threads"))
     mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
-    for kind, terms, bounds in (("real", 115571, 17081), ("imag", 46580, 1091)):
-        res = scan_max(FieldSpec(counts=cs, kind=kind), mesh, threads=1)
+    for kind, terms, bounds in (("real", 57639, 18201), ("imag", 12701, 2861)):
+        spec = FieldSpec(counts=cs, kind=kind)
+        res = scan_max(spec, mesh, threads=1)
         assert (res.terms, res.bounds, res.split) == (terms, bounds, None)
+        whole = scan_max(spec, mesh, threads=1, ranges=[(0, mesh.q)])
+        assert (whole.terms, whole.bounds) == (terms, bounds)
 
 
 def test_scan_rejects_ranges_outside_the_mesh():
