@@ -9,9 +9,12 @@ Each line is ``label json-sha256 csv-sha256`` (the first 8 hex digits of
 standard output of ``permfield scan --n 1000000 --seed 4``. The runs are
 the reduced configurations of acceptance criterion 14 at seed 12 with 1
 and 2 threads, the default seed-1 conditional-tail, two-point and
-arc-profile reports and the default seed-4 lln and imag reports. Run it
-on two commits and diff the outputs: a refactor that keeps every report
-prints the same lines.
+arc-profile reports, the default seed-4 lln and imag reports, the default
+seed-1 occupancy report, and the default seed-1 conditional-tail,
+two-point and occupancy reports again at 1 thread (their 16, 24 and 40
+Monte Carlo chunks run on the automatic thread count in the lines
+without a thread count). Run it on two commits and diff the outputs: a
+refactor that keeps every report prints the same lines.
 """
 
 import contextlib
@@ -36,7 +39,8 @@ REDUCED = {
     "occupancy": dict(replicas=500),
 }
 DEFAULTS = [("conditional-tail", 1), ("two-point", 1), ("arc-profile", 1),
-            ("lln", 4), ("imag", 4)]
+            ("lln", 4), ("imag", 4), ("occupancy", 1)]
+SERIAL = ["conditional-tail", "two-point", "occupancy"]  # seed 1, 1 thread
 
 
 def _sha(data):
@@ -57,6 +61,9 @@ def main():
     for name, seed in DEFAULTS:
         print(_report_line(f"default/{name}/seed{seed}", name,
                            default_config(name, seed=seed)), flush=True)
+    for name in SERIAL:
+        print(_report_line(f"default/{name}/seed1/threads1", name,
+                           default_config(name, seed=1, threads=1)), flush=True)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(["scan", "--n", "1000000", "--seed", "4"])

@@ -3,7 +3,10 @@
 Each run_* function maps (config) -> ExperimentReport deterministically:
 replica streams derive from (seed, task label, cell, replica), chunk sizes
 are fixed constants, and aggregation follows a fixed order, so reports are
-byte-identical across thread counts and reruns. Rare block-conditioned
+byte-identical across thread counts and reruns. Monte Carlo chunks run on
+config.threads workers: the caller makes each chunk's stream (and every
+other layer call), a worker reduces the chunk to a few sums, and the caller
+adds those in chunk order. Rare block-conditioned
 upper tails are estimated by exponential tilting at the maximizing tilt
 with likelihood-ratio reweighting; naive Monte Carlo is refused when the
 predicted probability is below 1e-5. The i.i.d. tail they are compared
@@ -11,6 +14,8 @@ with is exact (ratefn.iid_tail).
 """
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +40,7 @@ from .field import (
     Mesh,
     eval_point,
     log_abs_term_array,
+    resolve_threads,
     scan_max,
     term_array,
 )
@@ -69,6 +75,7 @@ IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 NAIVE_MC_FLOOR = 1e-5
 CHUNK = 1 << 16
 OCC_CHUNK = 256
+OCC_BATCH = 32  # rows per Poisson draw inside an occupancy chunk
 
 
 def parse_torus_point(spec):
@@ -329,14 +336,16 @@ def _block_tables(blocks, rho, t, beta=None):
     tables = []
     tf = float(t)
     for k in blocks:
-        lengths, table = one_over_ell_table(*block_bounds(k, rho))
+        a, b = block_bounds(k, rho)
+        lengths, table = (one_over_ell_table(a, b) if beta is None
+                          else (np.arange(a, b, dtype=np.int64), None))
         vals = log_abs_term_array(lengths, tf)
         log_phi = 0.0
         if beta is not None:
-            top = float(vals.max())
+            top = float(vals.max(initial=NEG_INF))
             if top == NEG_INF:
-                raise ConfigError(f"every length of block k={k} is a zero of "
-                                  f"the field at t={t}: the tilt has no mass")
+                raise ConfigError(f"block k={k} = [{a}, {b}) has no length where "
+                                  f"the field at t={t} is finite: the tilt has no mass")
             w = np.exp(beta * (vals - top)) / lengths
             table = guide_table(np.cumsum(w), float(w.sum()))
             log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
@@ -350,29 +359,41 @@ def _chunks(total, size):
         yield index, min(size, total - start)
 
 
-def _block_draws(tables, samples, seed_args, *other_vals):
-    """Sums over the blocks of values at lengths drawn from each table's pmf.
+@contextmanager
+def _chunk_map(threads):
+    """Ordered map on resolve_threads(threads) pool workers; builtin map for one."""
+    n_threads = resolve_threads(threads)
+    with ThreadPoolExecutor(n_threads) if n_threads > 1 else nullcontext() as pool:
+        yield pool.map if pool else map
 
-    Yields (chunk_idx, sums) for chunks of at most CHUNK samples, whose
-    uniforms come from stream(*seed_args, chunk_idx). Each uniform is
-    scaled by the table's total and mapped to an index by the guide walk,
-    which returns exactly the clipped searchsorted index of the cumulative
-    weights. sums[0] adds the tables' own "vals"; each further per-block
-    value list in other_vals is read through the same drawn indices into
-    one more sum.
+
+def _block_draws(tables, samples, seed_args, values, reduce, chunk_map):
+    """reduce(*sums) of each chunk of block draws, in chunk order.
+
+    Chunks hold at most CHUNK samples, with uniforms from stream(*seed_args,
+    chunk_idx), made here on the caller's thread. Each uniform is scaled by
+    the table's total and mapped by the guide walk to exactly the clipped
+    searchsorted index of the cumulative weights. values(i), block i's tuple
+    of per-length value arrays, is read through those indices into one sum
+    each; a worker calls it after drawing block i, so it may wait for values
+    the caller is still building.
     """
-    value_sets = ([tb["vals"] for tb in tables],) + other_vals
-    for chunk_idx, mlen in _chunks(samples, CHUNK):
-        rng = stream(*seed_args, chunk_idx)
-        sums = [np.zeros(mlen) for _ in value_sets]
+    def draw(task):
+        mlen, rng = task
+        sums = None
         for i, tb in enumerate(tables):
             idx = guide_index(tb, rng.random(mlen) * tb["total"])
-            for acc, vals in zip(sums, value_sets):
-                acc += vals[i][idx]
-        yield chunk_idx, sums
+            block_vals = values(i)
+            sums = sums or [np.zeros(mlen) for _ in block_vals]
+            for acc, vals in zip(sums, block_vals):
+                acc += vals[idx]
+        return reduce(*sums)
+
+    return chunk_map(draw, [(mlen, stream(*seed_args, chunk_idx))
+                            for chunk_idx, mlen in _chunks(samples, CHUNK)])
 
 
-def _conditional_tail(tables, beta, threshold, samples, seed_args):
+def _conditional_tail(tables, beta, threshold, samples, seed_args, threads):
     """Estimate of P(sum_k V_k >= threshold) under the block-conditioned law.
 
     With beta, the tables are tilted by e^{beta V} and each hit carries the
@@ -380,18 +401,25 @@ def _conditional_tail(tables, beta, threshold, samples, seed_args):
     hit counts 1 (direct Monte Carlo, binomial standard error).
     """
     log_phi_sum = sum(tb["log_phi"] for tb in tables)
-    rows = []
-    total_w = total_w2 = 0.0
-    hits = 0
-    for chunk_idx, (y,) in _block_draws(tables, samples, seed_args):
+
+    def weights(y):
         if beta is None:
             w = (y >= threshold).astype(float)
         else:
             w = np.where(y >= threshold, np.exp(-beta * y + log_phi_sum), 0.0)
-        total_w += float(w.sum())
-        total_w2 += float((w * w).sum())
-        hits += int(np.count_nonzero(w))
-        rows.append([chunk_idx, y.size, float(w.sum()), float((w * w).sum()), hits])
+        return y.size, float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
+
+    rows = []
+    total_w = total_w2 = 0.0
+    hits = 0
+    with _chunk_map(threads) as chunk_map:
+        parts = _block_draws(tables, samples, seed_args, lambda i: (tables[i]["vals"],),
+                             weights, chunk_map)
+        for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
+            total_w += sum_w
+            total_w2 += sum_w2
+            hits += nonzero
+            rows.append([chunk_idx, size, sum_w, sum_w2, hits])
     mean = total_w / samples
     if beta is None:
         return mean, math.sqrt(max(mean * (1 - mean), 0.0) / samples), rows
@@ -447,9 +475,8 @@ def run_conditional_tail(config):
     tilt = beta if rare else None
     est_a, se_a, rows_a = _conditional_tail(
         _block_tables(blocks, rho, t, beta=tilt), tilt, threshold,
-        config.samples, (config.seed, name, "block"))
-    for row in rows_a:
-        report.rows.append(["block-conditioned"] + row)
+        config.samples, (config.seed, name, "block"), config.threads)
+    report.rows.extend(["block-conditioned"] + row for row in rows_a)
 
     est_b = ratefn.iid_tail(y, q)
     report.cells.append({"estimator": "block-conditioned", "estimate": est_a,
@@ -513,41 +540,50 @@ def run_two_point(config):
     pairs.sort()
     n_buckets = 4
 
+    def pair_sums(ys, yt):
+        hs, ht = ys >= threshold, yt >= threshold
+        return (int(np.count_nonzero(hs)), int(np.count_nonzero(ht)),
+                int(np.count_nonzero(hs & ht)), float(ys.sum()), float(yt.sum()),
+                float((ys * yt).sum()), float((ys * ys).sum()), float((yt * yt).sum()))
+
+    # the 1/ell tables do not depend on the point: one set serves every pair
+    lengths, guides = zip(*(one_over_ell_table(*block_bounds(k, rho)) for k in blocks))
     bucket_acc = [dict(samples=0, hits_s=0, hits_t=0, hits_joint=0, corrs=[])
                   for _ in range(n_buckets)]
-    for pair_idx, (dist, s, t) in enumerate(pairs):
-        tables_s = _block_tables(blocks, rho, s, beta=None)
-        tables_t = _block_tables(blocks, rho, t, beta=None)
-        hits_s = hits_t = hits_joint = 0
-        sum_s = sum_t = sum_st = sum_s2 = sum_t2 = 0.0
-        # the same drawn cycle lengths drive both points
-        for _, (ys, yt) in _block_draws(
-                tables_s, config.samples, (config.seed, name, "mc", pair_idx),
-                [tb["vals"] for tb in tables_t]):
-            hs = ys >= threshold
-            ht = yt >= threshold
-            hits_s += int(np.count_nonzero(hs))
-            hits_t += int(np.count_nonzero(ht))
-            hits_joint += int(np.count_nonzero(hs & ht))
-            sum_s += float(ys.sum())
-            sum_t += float(yt.sum())
-            sum_st += float((ys * yt).sum())
-            sum_s2 += float((ys * ys).sum())
-            sum_t2 += float((yt * yt).sum())
-        nn = config.samples
-        cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
-        var_s = sum_s2 / nn - (sum_s / nn) ** 2
-        var_t = sum_t2 / nn - (sum_t / nn) ** 2
-        corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
-        bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
-        acc = bucket_acc[bucket]
-        acc["samples"] += nn
-        acc["hits_s"] += hits_s
-        acc["hits_t"] += hits_t
-        acc["hits_joint"] += hits_joint
-        acc["corrs"].append(corr)
-        report.rows.append([pair_idx, bucket, s, t, dist, nn, hits_s, hits_t,
-                            hits_joint, corr])
+    with _chunk_map(config.threads) as chunk_map:
+        for pair_idx, (dist, s, t) in enumerate(pairs):
+            # the same drawn cycle lengths drive both points; the draws start
+            # first, and each waits for a block's values until they are built
+            ready = [Future() for _ in blocks]
+            parts = _block_draws(guides, config.samples, (config.seed, name, "mc", pair_idx),
+                                 lambda i: ready[i].result(), pair_sums, chunk_map)
+            try:
+                for block_lengths, values in zip(lengths, ready):
+                    values.set_result((log_abs_term_array(block_lengths, s),
+                                       log_abs_term_array(block_lengths, t)))
+            except BaseException as exc:
+                for values in ready:
+                    if not values.done():
+                        values.set_exception(exc)
+                raise
+            totals = (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            for part in parts:
+                totals = tuple(a + b for a, b in zip(totals, part))
+            hits_s, hits_t, hits_joint, sum_s, sum_t, sum_st, sum_s2, sum_t2 = totals
+            nn = config.samples
+            cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
+            var_s = sum_s2 / nn - (sum_s / nn) ** 2
+            var_t = sum_t2 / nn - (sum_t / nn) ** 2
+            corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
+            bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
+            acc = bucket_acc[bucket]
+            acc["samples"] += nn
+            acc["hits_s"] += hits_s
+            acc["hits_t"] += hits_t
+            acc["hits_joint"] += hits_joint
+            acc["corrs"].append(corr)
+            report.rows.append([pair_idx, bucket, s, t, dist, nn, hits_s, hits_t,
+                                hits_joint, corr])
 
     # degenerate diagonal cell: at s = t the joint rate IS the marginal
     # rate, so joint/product collapses to 1/p (maximal correlation)
@@ -667,17 +703,24 @@ def run_occupancy(config):
     report.columns = ["chunk", "size", "sum_q1", "sum_sq_q1", "sum_q2",
                       "sum_tot", "sum_sq_tot"]
     rho_vec = np.array([block_mean(k, rho) for k in range(m, n)])
+
+    def chunk_sums(task):
+        sz, rng = task
+        # OCC_BATCH rows at a time draw the same counts as one (sz, nb) call
+        # with an eighth of its memory; every sum is an integer below 2^53
+        q1, q2, tot = np.concatenate([
+            [(cnt == 1).sum(axis=1), (cnt >= 2).sum(axis=1), cnt.sum(axis=1)]
+            for cnt in (rng.poisson(lam=rho_vec, size=(rows, nb))
+                        for _, rows in _chunks(sz, OCC_BATCH))], axis=1).astype(float)
+        return [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
+
     sums = np.zeros(5)
-    for chunk_idx, sz in _chunks(config.replicas, OCC_CHUNK):
-        rng = stream(config.seed, name, chunk_idx)
-        cnt = rng.poisson(lam=rho_vec, size=(sz, nb))
-        q1 = (cnt == 1).sum(axis=1).astype(float)
-        q2 = (cnt >= 2).sum(axis=1).astype(float)
-        tot = cnt.sum(axis=1).astype(float)
-        chunk_sums = [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(),
-                      (tot * tot).sum()]
-        sums += np.array(chunk_sums)
-        report.rows.append([chunk_idx, sz] + [float(v) for v in chunk_sums])
+    tasks = [(sz, stream(config.seed, name, chunk_idx))
+             for chunk_idx, sz in _chunks(config.replicas, OCC_CHUNK)]
+    with _chunk_map(config.threads) as chunk_map:
+        for chunk_idx, part in enumerate(chunk_map(chunk_sums, tasks)):
+            sums += np.array(part)
+            report.rows.append([chunk_idx, tasks[chunk_idx][0]] + [float(v) for v in part])
     reps = config.replicas
     mean_q1, mean_q2, mean_tot = sums[0] / reps, sums[2] / reps, sums[3] / reps
     var_q1 = max(sums[1] / reps - mean_q1**2, 0.0)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, ConfigError, InvalidArgumentError
 
 __all__ = [
     "NEG_INF",
@@ -234,11 +234,16 @@ def split_field(spec, w, t):
 
 
 def resolve_threads(threads=None):
-    if threads:
-        return max(1, int(threads))
-    env = os.environ.get("PERMFIELD_THREADS")
-    if env:
-        return max(1, int(env))
+    """threads, else PERMFIELD_THREADS, else the cpu count; 0, None and "" are unset."""
+    for source, value in (("--threads", threads),
+                          ("PERMFIELD_THREADS", os.environ.get("PERMFIELD_THREADS"))):
+        if value is None or value == "":
+            continue
+        if not str(value).strip().isdecimal():
+            raise ConfigError(
+                f"{source} must be an integer >= 0 (0 = automatic), got {value!r}")
+        if int(value):
+            return int(value)
     return os.cpu_count() or 1
 
 

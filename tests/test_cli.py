@@ -154,6 +154,26 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
         assert "error: " in capsys.readouterr().err
 
 
+def test_negative_threads_exits_2(capsys):
+    # a negative count is refused, not clamped to one thread
+    assert run(["scan", "--n", "1000", "--threads", "-2"]) == 2
+    assert ("error: --threads must be an integer >= 0 (0 = automatic), got -2"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", ["lln", "occupancy"])
+def test_bad_thread_variable_exits_2(name, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PERMFIELD_THREADS", "abc")
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"replicas": 2, "n_values": [100]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert ("error: PERMFIELD_THREADS must be an integer >= 0 (0 = automatic), got 'abc'"
+            in capsys.readouterr().err)
+    assert not list(out.iterdir())
+
+
 def test_emit_plot_edge_cases():
     report = ExperimentReport(name="t", seed=0, config={})
     with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from permfield import experiments, ratefn
-from permfield.cycles import guide_index, guide_table, harmonic_sum, sample_cycle_structure
+from permfield.cycles import (
+    block_mean,
+    guide_index,
+    guide_table,
+    harmonic_sum,
+    sample_cycle_structure,
+)
 from permfield.errors import ConfigError, InvalidArgumentError
 from permfield.experiments import (
     _calibrate_level,
@@ -238,6 +246,13 @@ def test_two_point_refuses_an_empty_block():
         run_two_point(cfg)
 
 
+def test_tilted_conditional_tail_refuses_an_empty_block():
+    # the tilted tables take their lengths from the block bounds directly
+    cfg = default_config("conditional-tail", seed=1, m=1, kappa=0.01, samples=1000)
+    with pytest.raises(ConfigError, match=r"block k=1 = \[2, 2\) has no length"):
+        run_conditional_tail(cfg)
+
+
 # at most 300 weights below 1e250: their sum stays finite; subnormal
 # weights give totals whose inverse overflows
 _weight = st.one_of(st.just(0.0), st.floats(5e-324, 1e250))
@@ -400,6 +415,95 @@ def test_reports_thread_count_invariant_and_schema(name, overrides):
         res.files("permfield").joinpath("report.schema.json").read_text()
     )
     jsonschema.validate(json.loads(r1.json_bytes()), schema)
+
+
+@pytest.mark.parametrize("name,overrides,chunks", [
+    ("conditional-tail", dict(samples=4500), 5),  # tilted at x*
+    ("conditional-tail", dict(samples=4500, y=0.3), 5),  # direct: predicted 1.9e-2
+    ("two-point", dict(samples=2500, y=0.25), None),
+    ("occupancy", dict(replicas=300), 5),
+])
+def test_reports_thread_count_invariant_across_chunks(monkeypatch, name, overrides, chunks):
+    # small chunks, so that several of them run on the workers at once; the
+    # last chunk is short, and each 64-row occupancy chunk takes two batches
+    monkeypatch.setattr(experiments, "CHUNK", 1000)
+    monkeypatch.setattr(experiments, "OCC_CHUNK", 64)
+    reports = [run_experiment(name, default_config(name, seed=12, threads=threads,
+                                                   **overrides))
+               for threads in (1, 2, 8)]
+    assert len({r.json_bytes() for r in reports}) == 1
+    assert len({r.csv_text() for r in reports}) == 1
+    if chunks is not None:
+        assert len(reports[0].rows) == chunks
+    if name == "conditional-tail":
+        method = "direct" if "y" in overrides else "tilted-importance"
+        assert f"method={method}" in reports[0].notes[0]
+
+
+def test_occupancy_batches_draw_what_one_call_draws():
+    cfg = default_config("occupancy", seed=12, replicas=300)
+    row = run_occupancy(cfg).rows[0]
+    rho_vec = np.array([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
+    cnt = stream(12, "occupancy", 0).poisson(lam=rho_vec, size=(256, cfg.n_blocks))
+    q1 = (cnt == 1).sum(axis=1).astype(float)
+    tot = cnt.sum(axis=1).astype(float)
+    assert row == [0, 256, q1.sum(), (q1 * q1).sum(), float((cnt >= 2).sum()),
+                   tot.sum(), (tot * tot).sum()]
+
+
+def _error_of(run):
+    """The exception run() raises, from a helper thread that must finish in 60 s."""
+    box = {}
+
+    def target():
+        try:
+            run()
+        except Exception as exc:
+            box["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the run hung"
+    return box.get("error")
+
+
+def test_two_point_value_build_error_reaches_the_caller(monkeypatch):
+    calls = itertools.count()
+
+    def failing(lengths, t):
+        # two calls per block, at s and at t: call 8 builds block 5 of pair 0
+        if next(calls) == 8:
+            raise RuntimeError("value build failed")
+        return log_abs_term_array(lengths, t)
+
+    monkeypatch.setattr(experiments, "log_abs_term_array", failing)
+    monkeypatch.setattr(experiments, "CHUNK", 500)
+    cfg = default_config("two-point", seed=3, samples=4000, y=0.25, threads=2)
+    error = _error_of(lambda: run_two_point(cfg))
+    assert isinstance(error, RuntimeError) and str(error) == "value build failed"
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("conditional-tail", dict(samples=4000)),
+    ("two-point", dict(samples=4000, y=0.25)),
+])
+def test_worker_error_reaches_the_caller(monkeypatch, name, overrides):
+    calls = itertools.count()
+    failed_on = []
+
+    def failing(table, u):
+        if next(calls) == 40:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+        return guide_index(table, u)
+
+    monkeypatch.setattr(experiments, "guide_index", failing)
+    monkeypatch.setattr(experiments, "CHUNK", 500)
+    cfg = default_config(name, seed=3, threads=2, **overrides)
+    error = _error_of(lambda: run_experiment(name, cfg))
+    assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+    assert failed_on and failed_on[0] is not threading.main_thread()
 
 
 def test_report_write_naming(tmp_path):

@@ -547,6 +547,23 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads() >= 1
 
 
+def test_resolve_threads_refuses_what_is_not_a_count(monkeypatch):
+    from permfield.errors import ConfigError
+    from permfield.field import resolve_threads
+
+    for bad in (-2, 2.5, "two"):
+        with pytest.raises(ConfigError, match=rf"--threads .* got {bad!r}"):
+            resolve_threads(bad)
+    for unset in ("", "0"):
+        monkeypatch.setenv("PERMFIELD_THREADS", unset)
+        assert resolve_threads(0) == resolve_threads(None) >= 1
+    for bad in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("PERMFIELD_THREADS", bad)
+        with pytest.raises(ConfigError, match=rf"PERMFIELD_THREADS .* got {bad!r}"):
+            resolve_threads()
+        assert resolve_threads(3) == 3  # an explicit count does not read it
+
+
 def test_poisson_counts_field():
     pc = CycleCounts.from_dict(50, {2: 1, 7: 2})
     spec = FieldSpec(counts=pc)
