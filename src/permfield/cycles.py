@@ -185,36 +185,43 @@ def guide_table(cum, total):
     """Guide table ("indexed search") over a cumulative weight array.
 
     Chen & Asau (1974); Devroye, Non-Uniform Random Variate Generation
-    (1986), III.2.4. With G = len(cum) buckets, guide[g] is the first index
-    i with floor(cum[i] / total * G) >= g, clipped to G - 1. The bucket map
-    x / total * G divides first, in two rounded steps that are each
-    monotone in x, so for a uniform u the bucket min(floor(u / total * G),
-    G - 1) never starts past the answer of the inverse-CDF search, and
-    guide_index only walks forward from it.
+    (1986), III.2.4. The table is indexed by the uniform r in [0, 1) that
+    guide_index draws at: with G the power of two >= len(cum), bucket g
+    holds the r in [g / G, (g + 1) / G), and guide[g] is the searchsorted
+    index of fl(g / G * total) in cum, clipped to len(cum) - 1. g / G is
+    exact and fl(r * total) is monotone in r, so the answer for every r of
+    bucket g lies in [guide[g], guide[g + 1]]; walk is the largest such
+    step. cum is stored in one buffer with a trailing +inf ("sentinel"),
+    of which "cum" is a view, so a walk stops at the end unchecked.
     """
-    size = len(cum)
-    pos = np.floor(cum / total * size)
-    guide = np.searchsorted(pos, np.arange(size), side="left")
-    np.minimum(guide, size - 1, out=guide)
-    return {"cum": cum, "total": total, "guide": guide}
+    buckets = 1 << (len(cum) - 1).bit_length()
+    edges = np.searchsorted(cum, np.arange(buckets + 1) / buckets * total, side="left")
+    np.minimum(edges, len(cum) - 1, out=edges)
+    sentinel = np.append(cum, np.inf)
+    return {"cum": sentinel[:-1], "sentinel": sentinel, "total": total,
+            "guide": edges[:-1], "walk": int(np.diff(edges).max())}
 
 
-def guide_index(table, u):
-    """np.searchsorted(cum, u, side="left") clipped to len(cum) - 1, exactly.
+def guide_index(table, r):
+    """np.searchsorted(cum, fl(r * total), side="left") clipped to len(cum) - 1,
+    exactly, for uniforms r in [0, 1).
 
-    Starts each u at its bucket's guide entry and steps the still-active
-    indices forward while cum[idx] < u and idx is not the last index.
+    Starts each r at its bucket's guide entry and steps forward while
+    cum[idx] < r * total: up to two whole-array steps, then, on a table
+    whose walk is longer, steps of the still-active indices only.
     """
-    cum, guide = table["cum"], table["guide"]
-    last = len(cum) - 1
-    bucket = np.minimum(u / table["total"] * len(cum), last)
-    idx = guide[bucket.astype(np.int64)]
-    active = np.flatnonzero((cum[idx] < u) & (idx < last))
-    while active.size:
-        idx[active] += 1
-        step = idx[active]
-        active = active[(cum[step] < u[active]) & (step < last)]
-    return idx
+    cum, guide = table["sentinel"], table["guide"]
+    u = r * table["total"]
+    # int(r G), exact; cast on output it makes no float temporary
+    idx = guide[np.multiply(r, len(guide), out=np.empty(len(r), np.int64), casting="unsafe")]
+    for _ in range(min(table["walk"], 2)):
+        idx += cum[idx] < u
+    if table["walk"] > 2:
+        active = np.flatnonzero(cum[idx] < u)
+        while active.size:
+            idx[active] += 1
+            active = active[cum[idx[active]] < u[active]]
+    return np.minimum(idx, len(cum) - 2, out=idx)
 
 
 @lru_cache(maxsize=256)
@@ -229,7 +236,7 @@ def one_over_ell_table(a, b):
     lengths = np.arange(a, b, dtype=np.int64)
     cum = np.cumsum(1.0 / lengths)
     table = guide_table(cum, float(cum[-1]))
-    for arr in (lengths, cum, table["guide"]):
+    for arr in (lengths, table["cum"], table["sentinel"], table["guide"]):
         arr.setflags(write=False)
     return lengths, table
 

@@ -250,6 +250,7 @@ def run_clt_check(config):
     """Distribution of the field at one point against the CLT normalization."""
     from scipy import stats as sstats
 
+    resolve_threads(config.threads)  # refuse a bad count, as every experiment does
     name = config.name or "clt"
     point = parse_torus_point(config.t or "golden")
     n = config.n_values[-1]
@@ -371,18 +372,18 @@ def _block_draws(tables, samples, seed_args, values, reduce, chunk_map):
     """reduce(*sums) of each chunk of block draws, in chunk order.
 
     Chunks hold at most CHUNK samples, with uniforms from stream(*seed_args,
-    chunk_idx), made here on the caller's thread. Each uniform is scaled by
-    the table's total and mapped by the guide walk to exactly the clipped
-    searchsorted index of the cumulative weights. values(i), block i's tuple
-    of per-length value arrays, is read through those indices into one sum
-    each; a worker calls it after drawing block i, so it may wait for values
-    the caller is still building.
+    chunk_idx), made here on the caller's thread. The guide walk maps each
+    uniform r to exactly the clipped searchsorted index of r * total in the
+    cumulative weights. values(i), block i's tuple of per-length value
+    arrays, is read through those indices into one sum each; a worker calls
+    it after drawing block i, so it may wait for values the caller is still
+    building.
     """
     def draw(task):
         mlen, rng = task
         sums = None
         for i, tb in enumerate(tables):
-            idx = guide_index(tb, rng.random(mlen) * tb["total"])
+            idx = guide_index(tb, rng.random(mlen))
             block_vals = values(i)
             sums = sums or [np.zeros(mlen) for _ in block_vals]
             for acc, vals in zip(sums, block_vals):

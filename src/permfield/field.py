@@ -44,6 +44,7 @@ NEG_INF = float("-inf")
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
 BLOCK = 1 << 16  # points per _scan_block call and per traced task
 PRUNE_SPAN = 1 << 18  # mesh points per window of 4096-runs pruned in one task
+BOUND_SPAN = 1 << 22  # mesh points per window of the unpruned 4096-run bound pass
 RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
 BEST = (4, 16)  # best runs of each length whose points set the threshold
 LENGTH_GROUP = 32  # lengths per vectorized step of a bound pass
@@ -128,8 +129,13 @@ def arg_term(u):
 
 
 def log_abs_term_array(lengths, t):
-    """Vectorized log|1 - e(ell t)| over an int64 array of lengths, float t."""
-    u = np.mod(np.asarray(lengths, dtype=np.float64) * t, 1.0)
+    """Vectorized log|1 - e(ell t)| over an int64 array of lengths, float t.
+
+    The residue x - floor(x) of x = fl(ell t) rounds the exact x mod 1 once,
+    bit for bit as np.mod(x, 1.0).
+    """
+    u = np.multiply(lengths, t, dtype=np.float64)
+    u -= np.floor(u)
     return term_array(u, 1.0, "real")
 
 
@@ -498,7 +504,12 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
                 hi = np.array([b for _, b in side], dtype=np.int64)
                 starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
                                   dtype=np.int64)
-                coarse, b0 = bound(starts, RUNS[0])
+                # the unpruned pass one window at a time; a run's bound is its own row
+                window = BOUND_SPAN // RUNS[0]
+                passes = [bound(starts[i:i + window], RUNS[0])
+                          for i in range(0, len(starts), window)]
+                coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
+                b0 = sum(b for _, b in passes)
                 # best first, ties to the smaller start; the points go in
                 # index order, as _first_max settles ties by position
                 fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],

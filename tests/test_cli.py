@@ -161,7 +161,7 @@ def test_negative_threads_exits_2(capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("name", ["lln", "occupancy"])
+@pytest.mark.parametrize("name", ["lln", "occupancy", "clt"])
 def test_bad_thread_variable_exits_2(name, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("PERMFIELD_THREADS", "abc")
     cfg = tmp_path / "small.json"

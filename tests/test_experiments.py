@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -291,6 +292,7 @@ def _weight_tables(draw):
 @example(w=np.exp(64.0 * log_abs_term_array(np.arange(1, 301), 7e-9))
          / np.arange(1, 301), seed=4, excess=0.0)  # tilted to a subnormal total
 @example(w=np.array([1.0, 2.0, 3.0]), seed=5, excess=0.5)
+@example(w=np.array([2.5]), seed=6, excess=0.5)  # G = 1, total past cum[-1]
 def test_guide_walk_matches_searchsorted(w, seed, excess):
     cum = np.cumsum(w)
     # the total may exceed cum[-1] (pairwise vs running sum); excess makes
@@ -298,16 +300,40 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
     total = float(w.sum()) * (1.0 + excess)
     assume(total > 0.0)  # every tilted weight may underflow: no pmf
     table = guide_table(cum, total)
-    assert table["guide"].dtype == np.int64 and len(table["guide"]) == len(cum)
+    buckets = len(table["guide"])
+    assert table["guide"].dtype == np.int64
+    assert buckets >= len(cum) and buckets & (buckets - 1) == 0
+    assert np.array_equal(table["cum"], cum) and table["cum"].base is table["sentinel"]
     rng = np.random.default_rng(seed)
-    u = np.concatenate([
-        rng.random(2000) * total,  # the draws of _block_draws
-        [0.0, total, cum[-1], max(total, cum[-1]) * (1.0 + 1e-15)],
-        cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf),
-        rng.random(50) * 2.0 * total,  # u beyond cum[-1] clips to the end
+    edges = np.arange(buckets) / buckets  # k / G, every bucket's first uniform
+    hits = cum / total  # r * total at or next to a cumulative weight
+    r = np.concatenate([
+        rng.random(2000),  # the draws of _block_draws
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+        hits, np.nextafter(hits, 0.0), np.nextafter(hits, 1.0),
     ])
-    expected = np.clip(np.searchsorted(cum, u, side="left"), 0, len(cum) - 1)
-    assert np.array_equal(guide_index(table, u), expected)
+    r = r[r < 1.0]
+    expected = np.clip(np.searchsorted(cum, r * total, side="left"), 0, len(cum) - 1)
+    assert np.array_equal(guide_index(table, r), expected)
+
+
+def test_guide_walk_longer_than_two_steps():
+    # 100 tiny weights share the bucket of the first heavy one: the walk
+    # outruns the two whole-array steps and the active-set loop finishes it
+    w = np.array([1.0] + [1e-12] * 100 + [1.0, 0.5])
+    table = guide_table(np.cumsum(w), float(w.sum()))
+    assert table["walk"] > 2
+    r = np.concatenate([np.random.default_rng(0).random(5000),
+                        np.nextafter(np.arange(1, 257) / 256, 0.0)])
+    expected = np.searchsorted(table["cum"], r * table["total"], side="left")
+    assert np.array_equal(guide_index(table, r), expected)
+    # the tilted conditional-tail tables take that loop too
+    cfg = default_config("conditional-tail", seed=0)
+    beta = ratefn.legendre(_critical().x_crit)[1]
+    tables = experiments._block_tables(range(cfg.m, cfg.m + cfg.q), cfg.rho,
+                                       parse_torus_point("sqrt2"), beta=beta)
+    assert max(tb["walk"] for tb in tables) > 2
 
 
 def test_calibrate_level_solves_exact_tail():
@@ -438,6 +464,20 @@ def test_reports_thread_count_invariant_across_chunks(monkeypatch, name, overrid
     if name == "conditional-tail":
         method = "direct" if "y" in overrides else "tilted-importance"
         assert f"method={method}" in reports[0].notes[0]
+
+
+@pytest.mark.parametrize("name,overrides,hashes", [
+    ("conditional-tail", dict(samples=30000), ("7b1aa0d6", "b8729627")),
+    ("two-point", dict(samples=10000, y=0.25), ("1baf1a90", "cb2ba868")),
+])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block_draw_reports_keep_their_bytes(name, overrides, hashes, threads):
+    # sha256 prefixes of the JSON and CSV of the reduced criterion-14 runs
+    # (scripts/report_hashes.py): a faster draw must leave every byte
+    report = run_experiment(name, default_config(name, seed=12, threads=threads,
+                                                  **overrides))
+    assert (hashlib.sha256(report.json_bytes()).hexdigest()[:8],
+            hashlib.sha256(report.csv_text().encode()).hexdigest()[:8]) == hashes
 
 
 def test_occupancy_batches_draw_what_one_call_draws():

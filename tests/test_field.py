@@ -27,6 +27,7 @@ from permfield.field import (
     arg_term,
     eval_point,
     log_abs_term,
+    log_abs_term_array,
     scan_max,
     split_field,
     term_array,
@@ -570,3 +571,20 @@ def test_poisson_counts_field():
     v = eval_point(spec, 0.2)
     expected = log_abs_term(0.4) + 2 * log_abs_term(0.4)
     assert v == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(1, 2**40), min_size=1, max_size=50),
+       t=st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                   st.floats(-1e-300, 1e-300, allow_nan=False),
+                   st.integers(-2**20, 2**20).map(lambda k: k / 2.0),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0])))
+@example(lengths=[1, 2, 3], t=-1e-20)  # x mod 1 rounds up to 1.0
+@example(lengths=[2**40, 2**40 - 1], t=math.sqrt(2.0))
+def test_log_abs_term_array_matches_the_mod_residue(lengths, t):
+    # the residue x - floor(x) against the np.mod form it replaced: every
+    # bit, the sign of a zero and of -inf included
+    lengths = np.array(lengths, dtype=np.int64)
+    reference = term_array(np.mod(lengths.astype(np.float64) * t, 1.0), 1.0, "real")
+    got = log_abs_term_array(lengths, t)
+    assert np.array_equal(got.view(np.int64), reference.view(np.int64))
