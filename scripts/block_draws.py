@@ -56,7 +56,7 @@ def layers():
     import scipy
 
     from permfield import cycles, experiments, ratefn
-    from permfield.field import log_abs_term_array
+    from permfield.field import log_abs_term_array, thread_map
 
     two = experiments.default_config("two-point", seed=0)
     blocks = list(range(two.m, two.m + two.q))
@@ -74,7 +74,7 @@ def layers():
            "draws_per_run": draws, "repeats": REPEATS}
 
     def block_draws(tables, values, threads):
-        with experiments._chunk_map(threads) as chunk_map:
+        with thread_map(threads) as chunk_map:
             list(experiments._block_draws(tables, SAMPLES, (0, "bench", "draws"), values,
                                           lambda *sums: float(sums[0].sum()), chunk_map))
 

@@ -6,7 +6,9 @@ Run from the repository root:
 
 Each line is ``label json-sha256 csv-sha256`` (the first 8 hex digits of
 ``json_bytes()`` and of ``csv_text()``); the scan line has one hash, of the
-standard output of ``permfield scan --n 1000000 --seed 4``. The runs are
+standard output of ``permfield scan --n 1000000 --seed 4``, and the two
+trace lines one each, of the trace CSV that ``permfield scan --n 100000
+--seed 4 --trace`` writes at 1 and at 2 threads. The runs are
 the reduced configurations of acceptance criterion 14 at seed 12 with 1
 and 2 threads, the default seed-1 conditional-tail, two-point and
 arc-profile reports, the default seed-4 lln and imag reports, the default
@@ -22,6 +24,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -68,6 +71,15 @@ def main():
     with contextlib.redirect_stdout(out):
         code = run(["scan", "--n", "1000000", "--seed", "4"])
     print(f"scan/n1000000/seed4 {_sha(out.getvalue().encode())} exit{code}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in (1, 2):
+            path = os.path.join(tmp, f"trace{threads}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run(["scan", "--n", "100000", "--seed", "4", "--trace", path,
+                            "--threads", str(threads)])
+            with open(path, "rb") as fh:
+                print(f"scan-trace/n100000/seed4/threads{threads} {_sha(fh.read())} "
+                      f"exit{code}", flush=True)
 
 
 if __name__ == "__main__":

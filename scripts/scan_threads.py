@@ -1,4 +1,4 @@
-"""Time single pruned scans at 1 and 2 threads, with their work shares.
+"""Time single scans in fresh processes: untraced, and traced at 1 and 2 threads.
 
 Run from the repository root:
 
@@ -6,54 +6,89 @@ Run from the repository root:
 
 For N = 10^6, 10^7 and 10^8 and both field kinds it scans the replica-0
 structure of the seed-4 ``lln`` streams on the ``lln`` mesh (q = 2N,
-theta = 1/7) and prints one Markdown table row: the best of 3 wall times
-of ``scan_max`` at 1 and at 2 threads, ``terms / (q L)`` and
-``bounds / (q L)``, with L the number of distinct cycle lengths. It
-checks that both thread counts return the same maximizer and work counts.
+theta = 1/7). Each timing is one ``scan_max`` call in a fresh interpreter;
+ROUNDS rounds run every configuration once, alternating their order from
+round to round, and the table gives the median of each configuration.
+The untraced scan runs on the caller's thread at any count, so it has one
+column; the traced scan is timed at 1 and at 2 threads, for N up to 10^7
+(a trace holds 8 bytes per mesh point). One Markdown row per N and kind
+also gives ``terms / (q L)`` and ``bounds / (q L)`` of the untraced scan,
+with L the number of distinct cycle lengths. The script checks that every
+setting returns the same maximizer, and both thread counts the same trace
+bytes.
 """
 
+import hashlib
+import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
-from permfield.cycles import sample_cycle_structure  # noqa: E402
-from permfield.field import FieldSpec, Mesh, scan_max  # noqa: E402
-from permfield.streams import stream  # noqa: E402
-
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 SIZES = (10**6, 10**7, 10**8)
-THREADS = (1, 2)
-REPEATS = 3
+TRACED_MAX = 10**7  # largest N timed with a trace
+ROUNDS = 5
 
 
-def _best_of(spec, mesh, threads):
-    best, res = float("inf"), None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        res = scan_max(spec, mesh, threads=threads)
-        best = min(best, time.perf_counter() - start)
-    return best, res
+def _one(n, kind, threads, traced):
+    """Time one scan in this interpreter and return the figures as a dict."""
+    sys.path.insert(0, SRC)
+    from permfield.cycles import sample_cycle_structure
+    from permfield.field import FieldSpec, Mesh, scan_max
+    from permfield.streams import stream
+
+    counts = sample_cycle_structure(n, stream(4, "scan", str(n), 0))
+    mesh = Mesh(q=2 * n, theta_num=1, theta_den=7)
+    spec = FieldSpec(counts=counts, kind=kind)
+    start = time.perf_counter()
+    res = scan_max(spec, mesh, threads=threads, want_trace=traced)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "index": res.index, "value": res.value,
+            "terms": res.terms / (mesh.q * len(counts.lengths)),
+            "bounds": res.bounds / (mesh.q * len(counts.lengths)),
+            "trace": hashlib.sha256(res.trace.tobytes()).hexdigest() if traced else None}
+
+
+def _fresh(n, kind, threads, traced):
+    args = [sys.executable, os.path.abspath(__file__), "--one", str(n), kind,
+            str(threads), str(int(traced))]
+    return json.loads(subprocess.run(args, capture_output=True, text=True,
+                                     check=True).stdout)
 
 
 def main():
-    print("| N | kind | 1 thread | 2 threads | terms / q·L | bounds / q·L |")
-    print("|---|---|---|---|---|---|")
+    # (column, threads, traced); 0 threads is the automatic count
+    columns = [("untraced", 0, False), ("traced, 1 thread", 1, True),
+               ("traced, 2 threads", 2, True)]
+    print("| N | kind | " + " | ".join(c for c, _, _ in columns)
+          + " | terms / q·L | bounds / q·L |")
+    print("|---|---|" + "---|" * len(columns) + "---|---|")
     for n in SIZES:
-        counts = sample_cycle_structure(n, stream(4, "scan", str(n), 0))
-        mesh = Mesh(q=2 * n, theta_num=1, theta_den=7)
-        work = mesh.q * len(counts.lengths)
         for kind in ("real", "imag"):
-            spec = FieldSpec(counts=counts, kind=kind)
-            timed = [_best_of(spec, mesh, t) for t in THREADS]
-            found = {(r.index, r.value, r.terms, r.bounds) for _, r in timed}
-            if len(found) != 1:
-                raise SystemExit(f"thread counts disagree at N = {n}, {kind}")
-            res = timed[0][1]
-            print(f"| 10^{len(str(n)) - 1} | {kind} | "
-                  + " | ".join(f"{s * 1e3:.0f} ms" for s, _ in timed)
-                  + f" | {res.terms / work:.3%} | {res.bounds / work:.3%} |", flush=True)
+            runs = [c for c in columns if n <= TRACED_MAX or not c[2]]
+            times = {c: [] for c, _, _ in runs}
+            found = {}
+            for i in range(ROUNDS):
+                for column, threads, traced in (runs if i % 2 == 0 else runs[::-1]):
+                    out = _fresh(n, kind, threads, traced)
+                    times[column].append(out.pop("seconds"))
+                    found.setdefault(column, out)
+            maxima = {(r["index"], r["value"]) for r in found.values()}
+            traces = {found[c]["trace"] for c, _, t in runs if t}
+            if len(maxima) != 1 or len(traces) > 1:
+                raise SystemExit(f"scans disagree at N = {n}, {kind}")
+            cells = [f"{statistics.median(times[c]) * 1e3:.0f} ms" if c in times else "—"
+                     for c, _, _ in columns]
+            res = found["untraced"]
+            print(f"| 10^{len(str(n)) - 1} | {kind} | " + " | ".join(cells)
+                  + f" | {res['terms']:.3%} | {res['bounds']:.3%} |", flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--one"]:
+        n, kind, threads, traced = sys.argv[2:6]
+        print(json.dumps(_one(int(n), kind, int(threads), traced == "1")))
+    else:
+        main()

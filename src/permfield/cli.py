@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import ratefn
 from .arith import BohrSpec, classify
 from .cycles import read_cycles_csv, sample_cycle_structure, write_cycles_csv
-from .errors import ConfigError, InvalidArgumentError
+from .errors import CapacityError, ConfigError, InvalidArgumentError
 from .experiments import default_config, parse_torus_point, run_experiment
 from .field import FieldSpec, Mesh, NEG_INF, eval_point, scan_max, write_trace_csv
 from .reports import ExperimentReport
@@ -273,7 +273,7 @@ def run(argv):
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors already print to stderr
         return int(exc.code or 0)
-    except (ConfigError, InvalidArgumentError, ValueError, OSError) as exc:
+    except (CapacityError, ConfigError, InvalidArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,7 @@ with is exact (ratefn.iid_tail).
 """
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,6 +42,7 @@ from .field import (
     resolve_threads,
     scan_max,
     term_array,
+    thread_map,
 )
 from .reports import ExperimentConfig, ExperimentReport
 from .streams import stream
@@ -360,14 +360,6 @@ def _chunks(total, size):
         yield index, min(size, total - start)
 
 
-@contextmanager
-def _chunk_map(threads):
-    """Ordered map on resolve_threads(threads) pool workers; builtin map for one."""
-    n_threads = resolve_threads(threads)
-    with ThreadPoolExecutor(n_threads) if n_threads > 1 else nullcontext() as pool:
-        yield pool.map if pool else map
-
-
 def _block_draws(tables, samples, seed_args, values, reduce, chunk_map):
     """reduce(*sums) of each chunk of block draws, in chunk order.
 
@@ -413,7 +405,7 @@ def _conditional_tail(tables, beta, threshold, samples, seed_args, threads):
     rows = []
     total_w = total_w2 = 0.0
     hits = 0
-    with _chunk_map(threads) as chunk_map:
+    with thread_map(threads) as chunk_map:
         parts = _block_draws(tables, samples, seed_args, lambda i: (tables[i]["vals"],),
                              weights, chunk_map)
         for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
@@ -551,7 +543,7 @@ def run_two_point(config):
     lengths, guides = zip(*(one_over_ell_table(*block_bounds(k, rho)) for k in blocks))
     bucket_acc = [dict(samples=0, hits_s=0, hits_t=0, hits_joint=0, corrs=[])
                   for _ in range(n_buckets)]
-    with _chunk_map(config.threads) as chunk_map:
+    with thread_map(config.threads) as chunk_map:
         for pair_idx, (dist, s, t) in enumerate(pairs):
             # the same drawn cycle lengths drive both points; the draws start
             # first, and each waits for a block's values until they are built
@@ -718,7 +710,7 @@ def run_occupancy(config):
     sums = np.zeros(5)
     tasks = [(sz, stream(config.seed, name, chunk_idx))
              for chunk_idx, sz in _chunks(config.replicas, OCC_CHUNK)]
-    with _chunk_map(config.threads) as chunk_map:
+    with thread_map(config.threads) as chunk_map:
         for chunk_idx, part in enumerate(chunk_map(chunk_sums, tasks)):
             sums += np.array(part)
             report.rows.append([chunk_idx, tasks[chunk_idx][0]] + [float(v) for v in part])

@@ -15,6 +15,7 @@ underflow. Mesh scans run the reduction in blocked int64 numpy kernels.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,6 +37,7 @@ __all__ = [
     "split_field",
     "scan_max",
     "resolve_threads",
+    "thread_map",
     "write_trace_csv",
 ]
 
@@ -43,7 +45,7 @@ NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
 BLOCK = 1 << 16  # points per _scan_block call and per traced task
-PRUNE_SPAN = 1 << 18  # mesh points per window of 4096-runs pruned in one task
+PRUNE_RUNS = 64  # surviving 4096-runs per step of the prune walk: bounds its memory
 BOUND_SPAN = 1 << 22  # mesh points per window of the unpruned 4096-run bound pass
 RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
 BEST = (4, 16)  # best runs of each length whose points set the threshold
@@ -253,6 +255,14 @@ def resolve_threads(threads=None):
     return os.cpu_count() or 1
 
 
+@contextmanager
+def thread_map(threads=None):
+    """Ordered map on resolve_threads(threads) pool workers; builtin map for one."""
+    n_threads = resolve_threads(threads)
+    with ThreadPoolExecutor(n_threads) if n_threads > 1 else nullcontext() as pool:
+        yield pool.map if pool else map
+
+
 def _scan_capacity_check(mesh, max_len):
     q, td, tn = mesh.q, mesh.theta_den, mesh.theta_num
     d = q * q * td
@@ -411,9 +421,10 @@ def _subruns(starts, m, sub, hi):
 def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     """Exact maximizer of the field over all mesh points.
 
-    Deterministic parallel reduction over contiguous ranges of mesh
-    points; the result is bit-identical for every thread count. Ties,
-    including the all--inf mesh, resolve to the smallest index.
+    threads applies to traced scans only, which map their 2^16-point
+    blocks on that many threads; a bad count is refused either way, and
+    the result is bit-identical at any count. Ties, including the all--inf
+    mesh, resolve to the smallest index.
 
     ranges, an iterable of half-open index ranges [a, b) within [0, q),
     splits the mesh in two sides: the points in their union and the rest.
@@ -436,8 +447,9 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     (at most 1 024; ranked by bound, ties to the smaller start) are
     evaluated in full, and their best value is the side's threshold, a
     function of the inputs alone. A run whose bound lies strictly below
-    the threshold - slack cannot hold that side's maximum. The points of
-    the other surviving 64-runs then run through the lengths in ascending
+    the threshold - slack cannot hold that side's maximum. The surviving
+    4096-runs are walked in index order, PRUNE_RUNS at a time; the points
+    of their other 64-runs then run through the lengths in ascending
     order and are dropped as soon as their partial sum plus c log 2
     (c pi/2) per remaining length falls below that level. Survivors are
     summed in the same order with the same operations as the full scan,
@@ -470,76 +482,59 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
         return _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
                            kind, floors)
 
-    def prune(piece):
-        # the surviving 4096-runs' 64-runs not yet evaluated, then their points
-        s, starts, hi, done, floors = piece
-        fine = _subruns(starts, RUNS[0], RUNS[1], hi)
-        fine, bounds = bound(fine[~np.isin(fine, done)], RUNS[1], floors)
-        j = _subruns(fine, RUNS[1], 1, hi)
-        return s, [evaluate(j[i:i + BLOCK], floors) for i in range(0, len(j), BLOCK)], bounds
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        def run(work, tasks):
-            if n_threads > 1 and len(tasks) > 1:
-                return list(pool.map(work, tasks))
-            return [work(task) for task in tasks]
-
-        if want_trace:
-            j = np.arange(q, dtype=np.int64)
-            full = run(evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)])
-            terms, bounds = sum(t for _, _, t in full), 0
-            if ranges is None:
-                results = [full]
-            else:
-                ends, results = [e for r in sides[0] for e in r], [[], []]
-                for jb, acc, _ in full:
-                    # a point is inside iff an odd number of range ends lie at or below it
-                    inside = np.searchsorted(ends, jb, side="right") % 2 == 1
-                    results[0].append((jb[inside], acc[inside], 0))
-                    results[1].append((jb[~inside], acc[~inside], 0))
+    if want_trace:
+        j = np.arange(q, dtype=np.int64)
+        with thread_map(n_threads) as tmap:
+            full = list(tmap(evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)]))
+        terms, bounds = sum(t for _, _, t in full), 0
+        if ranges is None:
+            results = [full]
         else:
-            per, total = _PEAK[kind], int(counts.sum())
-            results, terms, bounds, tasks = [], 0, 0, {}
-            for s, side in enumerate(sides):
-                hi = np.array([b for _, b in side], dtype=np.int64)
-                starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
-                                  dtype=np.int64)
-                # the unpruned pass one window at a time; a run's bound is its own row
-                window = BOUND_SPAN // RUNS[0]
-                passes = [bound(starts[i:i + window], RUNS[0])
-                          for i in range(0, len(starts), window)]
-                coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
-                b0 = sum(b for _, b in passes)
-                # best first, ties to the smaller start; the points go in
-                # index order, as _first_max settles ties by position
-                fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
-                                RUNS[0], RUNS[1], hi)
-                fine_bound, b1 = bound(fine, RUNS[1])
-                done = np.sort(fine[np.lexsort((fine, -fine_bound))[:BEST[1]]])
-                best = evaluate(_subruns(done, RUNS[1], 1, hi))
-                results.append([best])
-                terms, bounds = terms + best[2], bounds + b0 + b1
-                threshold = float(best[1].max()) if len(best[1]) else NEG_INF
-                # the rounding of the sums and of the bounds stays far below 1e-9
-                # of the largest partial sum a survivor can reach; a -inf threshold
-                # gives an infinite slack and all floors -inf, so nothing is dropped
-                slack = 1e-9 * (1.0 + abs(threshold) + per * total)
-                floors = [threshold - slack - per * (total - c)
-                          for c in np.cumsum(counts).tolist()]
-                # the surviving 4096-runs starting in one PRUNE_SPAN window of the
-                # mesh are one task: the many short ranges of a small mesh are
-                # pruned on one thread, as a second one running such short numpy
-                # calls would only contend with it for the GIL
-                kept = starts[coarse >= threshold - slack]
-                for part in np.split(kept, np.flatnonzero(np.diff(kept // PRUNE_SPAN)) + 1):
-                    if len(part):
-                        tasks.setdefault(int(part[0]) // PRUNE_SPAN, []).append(
-                            (s, part, hi, done, floors))
-            pruned = run(lambda task: [prune(piece) for piece in task], list(tasks.values()))
-            for s, parts, b in (out for task in pruned for out in task):
-                results[s] += parts
-                terms += sum(t for _, _, t in parts)
+            ends, results = [e for r in sides[0] for e in r], [[], []]
+            for jb, acc, _ in full:
+                # a point is inside iff an odd number of range ends lie at or below it
+                inside = np.searchsorted(ends, jb, side="right") % 2 == 1
+                results[0].append((jb[inside], acc[inside], 0))
+                results[1].append((jb[~inside], acc[~inside], 0))
+    else:
+        per, total = _PEAK[kind], int(counts.sum())
+        results, terms, bounds = [], 0, 0
+        for side in sides:
+            hi = np.array([b for _, b in side], dtype=np.int64)
+            starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
+                              dtype=np.int64)
+            # the unpruned pass one window at a time; a run's bound is its own row
+            window = BOUND_SPAN // RUNS[0]
+            passes = [bound(starts[i:i + window], RUNS[0])
+                      for i in range(0, len(starts), window)]
+            coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
+            b0 = sum(b for _, b in passes)
+            # best first, ties to the smaller start; the points go in
+            # index order, as _first_max settles ties by position
+            fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
+                            RUNS[0], RUNS[1], hi)
+            fine_bound, b1 = bound(fine, RUNS[1])
+            done = np.sort(fine[np.lexsort((fine, -fine_bound))[:BEST[1]]])
+            best = evaluate(_subruns(done, RUNS[1], 1, hi))
+            found, bounds = [best], bounds + b0 + b1
+            threshold = float(best[1].max()) if len(best[1]) else NEG_INF
+            # the rounding of the sums and of the bounds stays far below 1e-9
+            # of the largest partial sum a survivor can reach; a -inf threshold
+            # gives an infinite slack and all floors -inf, so nothing is dropped
+            slack = 1e-9 * (1.0 + abs(threshold) + per * total)
+            floors = [threshold - slack - per * (total - c)
+                      for c in np.cumsum(counts).tolist()]
+            kept = starts[coarse >= threshold - slack]
+            for i in range(0, len(kept), PRUNE_RUNS):
+                # the kept 4096-runs' 64-runs not yet evaluated, then their points
+                fine = _subruns(kept[i:i + PRUNE_RUNS], RUNS[0], RUNS[1], hi)
+                fine, b = bound(fine[~np.isin(fine, done)], RUNS[1], floors)
+                j = _subruns(fine, RUNS[1], 1, hi)
+                found += [evaluate(j[k:k + BLOCK], floors)
+                          for k in range(0, len(j), BLOCK)]
                 bounds += b
+            results.append(found)
+            terms += sum(t for _, _, t in found)
     split = [_first_max(side) for side in results]
     best_j, best_val = min((r for r in split if r[0] is not None),
                            key=lambda r: (-r[1], r[0]))

@@ -16,7 +16,7 @@ from scipy import special
 
 from .cycles import block_bounds, block_mean, one_over_ell_table
 from .errors import AccuracyError, CapacityError, DomainError, InvalidArgumentError
-from .field import INT64_SAFE, term_array
+from .field import INT64_SAFE, log_abs_term_array, term_array
 
 __all__ = [
     "FourierRow",
@@ -130,6 +130,6 @@ def log_average(beta, t, k, rho):
             )
         terms = term_array((lengths * (p % d)) % d, d, "real")
     else:
-        terms = term_array(np.mod(lengths * float(t), 1.0), 1.0, "real")
+        terms = log_abs_term_array(lengths, float(t))
     # exp(-inf) = 0 keeps the exact zeros of phi
     return float(np.sum(np.exp(beta * terms) / lengths) / block_mean(k, rho))

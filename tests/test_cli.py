@@ -154,6 +154,21 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
         assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["scan", "--n", "10", "--theta", f"1/{2**62}"], "int64-safe range of the scan kernel"),
+    (["eval", "--t", f"1/{2**130}"], "128-bit range"),
+], ids=["scan", "eval"])
+def test_capacity_error_exits_2(argv, limit, tmp_path, capsys):
+    # a CapacityError is an OverflowError, not a ValueError: no traceback, exit 2
+    cycles = tmp_path / "fig.csv"
+    cycles.write_text(write_cycles_csv(CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})))
+    if argv[0] == "eval":
+        argv = argv + ["--cycles", str(cycles)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+
+
 def test_negative_threads_exits_2(capsys):
     # a negative count is refused, not clamped to one thread
     assert run(["scan", "--n", "1000", "--threads", "-2"]) == 2

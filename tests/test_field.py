@@ -13,7 +13,7 @@ from permfield.cycles import (
     sample_poisson_counts,
 )
 from permfield import field
-from permfield.errors import CapacityError, InvalidArgumentError
+from permfield.errors import CapacityError, ConfigError, InvalidArgumentError
 from permfield.field import (
     BLOCK,
     INT64_SAFE,
@@ -191,11 +191,11 @@ def test_scan_thread_count_invariance():
     for kind in ("real", "imag"):
         spec = FieldSpec(counts=cs, kind=kind)
         base = scan_max(spec, mesh, threads=1, want_trace=True)
-        multi = scan_max(spec, mesh, threads=8, want_trace=True)
-        assert base.index == multi.index
-        assert base.value == multi.value  # bitwise
-        assert np.array_equal(base.trace, multi.trace)
-        assert base.terms == multi.terms == mesh.q * len(cs.lengths)
+        for multi in (scan_max(spec, mesh, threads=t, want_trace=True) for t in (2, 8)):
+            assert base.index == multi.index
+            assert base.value == multi.value  # bitwise
+            assert np.array_equal(base.trace, multi.trace)
+            assert base.terms == multi.terms == mesh.q * len(cs.lengths)
         # the pruned scan: same maximum, and the same work at any thread count
         one = scan_max(spec, mesh, threads=1)
         eight = scan_max(spec, mesh, threads=8)
@@ -203,6 +203,29 @@ def test_scan_thread_count_invariance():
         assert one.trace is None and eight.trace is None
         assert one.terms == eight.terms
         assert 0 < one.terms < base.terms
+
+
+def test_untraced_scan_starts_no_thread(monkeypatch):
+    # the pruned path runs on the calling thread at any count; a traced scan
+    # still maps its blocks on a pool, and a bad count is refused on both
+    cs = sample_cycle_structure(10**4, stream(79, "pool"))
+    mesh = Mesh(q=2 * BLOCK + 3, theta_num=1, theta_den=7)
+    ranges = [(5, BLOCK + 9)]
+    specs = [FieldSpec(counts=cs, kind=kind) for kind in ("real", "imag")]
+    refs = [scan_max(spec, mesh, threads=1, ranges=r) for spec in specs for r in (None, ranges)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(field, "ThreadPoolExecutor", no_pool)
+    for ref, res in zip(refs, (scan_max(spec, mesh, threads=8, ranges=r)
+                               for spec in specs for r in (None, ranges))):
+        assert (res.index, res.value, res.split, res.terms, res.bounds) \
+            == (ref.index, ref.value, ref.split, ref.terms, ref.bounds)
+    with pytest.raises(AssertionError, match="thread pool"):
+        scan_max(specs[0], mesh, threads=2, want_trace=True)
+    with pytest.raises(ConfigError):
+        scan_max(specs[0], mesh, threads=-1)
 
 
 @st.composite
@@ -303,9 +326,9 @@ def test_range_scan_matches_masked_trace(case):
     assert full.split == expected
     k = int(np.argmax(full.trace))
     results = [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (1, 2, 8)]
-    # 4096-point prune tasks and 64-point blocks spread the sample and the
-    # ranges of both sides over the threads
-    with mock.patch.multiple(field, PRUNE_SPAN=RUNS[0], BLOCK=64):
+    # prune windows of one 4096-run and 64-point blocks: the walk over the
+    # ranges of both sides crosses many windows and blocks
+    with mock.patch.multiple(field, PRUNE_RUNS=1, BLOCK=64):
         results += [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (2, 8)]
     for res in results:
         assert res.split == expected
@@ -431,13 +454,14 @@ def test_scan_bounds_thread_count_invariance(case):
 
 def test_scan_counters_do_not_depend_on_task_size(monkeypatch):
     # runs and points are bounded and dropped one by one, so the work is
-    # the same however the mesh is cut into tasks and threads
+    # the same however the walk is cut into windows and blocks, at any count
     cs = sample_cycle_structure(10**5, stream(79, "tasks"))
     mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
     for kind in ("real", "imag"):
         spec = FieldSpec(counts=cs, kind=kind)
         ref = scan_max(spec, mesh, threads=1)
-        monkeypatch.setattr(field, "PRUNE_SPAN", BLOCK)
+        monkeypatch.setattr(field, "PRUNE_RUNS", 1)
+        monkeypatch.setattr(field, "BLOCK", 64)
         for threads in (1, 2, 8):
             res = scan_max(spec, mesh, threads=threads)
             assert (res.index, res.value, res.terms, res.bounds) \
