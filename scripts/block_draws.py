@@ -14,7 +14,11 @@ the package from its own ``src``:
 - ns per draw of ``guide_index`` alone, its own time inside the 1-thread
   runs;
 - ns per term of ``field.log_abs_term_array`` over the two-point lengths;
-- ms to build the guide tables of both sets from their cumulative sums.
+- ms to build the guide tables of both sets from their cumulative sums;
+- ns per replica of the default ``occupancy`` run (10^4 replicas, 2 000
+  blocks) at 1 thread and at ``nproc``, and the cycles per replica (the
+  report's mean N): a sampler that places cycles does that much work per
+  replica, one that draws every block's count does ``occupancy.blocks``.
 
 Each figure is the median of REPEATS runs in one interpreter; the record
 keeps the figures of LAYER_ROUNDS interpreters per tree, alternating the
@@ -25,6 +29,7 @@ per-workload medians, quartiles and the number of pairs the change won.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -73,13 +78,31 @@ def layers():
            "numpy": np.__version__, "scipy": scipy.__version__,
            "draws_per_run": draws, "repeats": REPEATS}
 
+    one_accumulator = "dtype" in inspect.signature(experiments._block_draws).parameters
+    tilted_vals = [tb["vals"] for tb in tilted]
+    if one_accumulator:
+        # this tree's draw loop adds one array per block into one accumulator,
+        # and gathers the pair's values at s and t as one complex array
+        pairs = [np.empty(len(ell), complex) for ell in lengths]
+        for pair, (vs, vt) in zip(pairs, pair_vals):
+            pair.real, pair.imag = vs, vt
+        pair_vals = pairs
+    else:
+        tilted_vals = [(vals,) for vals in tilted_vals]
+
     def block_draws(tables, values, threads):
         with thread_map(threads) as chunk_map:
-            list(experiments._block_draws(tables, SAMPLES, (0, "bench", "draws"), values,
-                                          lambda *sums: float(sums[0].sum()), chunk_map))
+            if one_accumulator:
+                parts = experiments._block_draws(
+                    tables, SAMPLES, (0, "bench", "draws"), values.__getitem__,
+                    lambda acc: float(acc.real.sum()), chunk_map, dtype=values[0].dtype)
+            else:
+                parts = experiments._block_draws(
+                    tables, SAMPLES, (0, "bench", "draws"), values.__getitem__,
+                    lambda *sums: float(sums[0].sum()), chunk_map)
+            list(parts)
 
-    sets = {"two_point": (guides, lambda i: pair_vals[i]),
-            "tilted": (tilted, lambda i: (tilted[i]["vals"],))}
+    sets = {"two_point": (guides, pair_vals), "tilted": (tilted, tilted_vals)}
     walk = experiments.guide_index
     for name, (tables, values) in sets.items():
         for threads in sorted({1, out["nproc"]}):
@@ -108,6 +131,13 @@ def layers():
         out[f"{name}.guide_table_build_ms"] = _median_ns(
             lambda: [cycles.guide_table(c, total) for c, total in zip(cums, totals)], 1) / 1e6
         out[f"{name}.walk"] = max(tb.get("walk", -1) for tb in tables)
+    occ = experiments.default_config("occupancy", seed=0)
+    for threads in sorted({1, out["nproc"]}):
+        config = experiments.default_config("occupancy", seed=0, threads=threads)
+        out[f"occupancy.ns_per_replica.threads{threads}"] = _median_ns(
+            lambda: experiments.run_occupancy(config), occ.replicas)
+    out["occupancy.cycles_per_replica"] = experiments.run_occupancy(occ).cells[0]["mean_total"]
+    out["occupancy.blocks"] = occ.n_blocks
     terms = sum(len(ell) for ell in lengths)
     out["log_abs_term_array_ns_per_term"] = _median_ns(
         lambda: [log_abs_term_array(ell, s) for ell in lengths], terms)

@@ -5,8 +5,9 @@ replica streams derive from (seed, task label, cell, replica), chunk sizes
 are fixed constants, and aggregation follows a fixed order, so reports are
 byte-identical across thread counts and reruns. Monte Carlo chunks run on
 config.threads workers: the caller makes each chunk's stream (and every
-other layer call), a worker reduces the chunk to a few sums, and the caller
-adds those in chunk order. Rare block-conditioned
+other layer call but two-point's block values, which the first worker to
+reach a block builds), a worker reduces the chunk to a few sums, and the
+caller adds those in chunk order. Rare block-conditioned
 upper tails are estimated by exponential tilting at the maximizing tilt
 with likelihood-ratio reweighting; naive Monte Carlo is refused when the
 predicted probability is below 1e-5. The i.i.d. tail they are compared
@@ -14,7 +15,7 @@ with is exact (ratefn.iid_tail).
 """
 
 import math
-from concurrent.futures import Future
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,7 +76,7 @@ IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 NAIVE_MC_FLOOR = 1e-5
 CHUNK = 1 << 16
 OCC_CHUNK = 256
-OCC_BATCH = 32  # rows per Poisson draw inside an occupancy chunk
+OCC_BATCH = 32  # rows per bincount inside an occupancy chunk
 
 
 def parse_torus_point(spec):
@@ -360,27 +361,23 @@ def _chunks(total, size):
         yield index, min(size, total - start)
 
 
-def _block_draws(tables, samples, seed_args, values, reduce, chunk_map):
-    """reduce(*sums) of each chunk of block draws, in chunk order.
+def _block_draws(tables, samples, seed_args, values, reduce, chunk_map, dtype=float):
+    """reduce(acc) of each chunk of block draws, in chunk order.
 
     Chunks hold at most CHUNK samples, with uniforms from stream(*seed_args,
     chunk_idx), made here on the caller's thread. The guide walk maps each
     uniform r to exactly the clipped searchsorted index of r * total in the
-    cumulative weights. values(i), block i's tuple of per-length value
-    arrays, is read through those indices into one sum each; a worker calls
-    it after drawing block i, so it may wait for values the caller is still
-    building.
+    cumulative weights. values(i), block i's per-length value array, is read
+    through those indices and added into one dtype accumulator; a worker
+    calls it after drawing block i.
     """
     def draw(task):
         mlen, rng = task
-        sums = None
+        acc = np.zeros(mlen, dtype)
         for i, tb in enumerate(tables):
             idx = guide_index(tb, rng.random(mlen))
-            block_vals = values(i)
-            sums = sums or [np.zeros(mlen) for _ in block_vals]
-            for acc, vals in zip(sums, block_vals):
-                acc += vals[idx]
-        return reduce(*sums)
+            acc += values(i)[idx]
+        return reduce(acc)
 
     return chunk_map(draw, [(mlen, stream(*seed_args, chunk_idx))
                             for chunk_idx, mlen in _chunks(samples, CHUNK)])
@@ -406,7 +403,7 @@ def _conditional_tail(tables, beta, threshold, samples, seed_args, threads):
     total_w = total_w2 = 0.0
     hits = 0
     with thread_map(threads) as chunk_map:
-        parts = _block_draws(tables, samples, seed_args, lambda i: (tables[i]["vals"],),
+        parts = _block_draws(tables, samples, seed_args, lambda i: tables[i]["vals"],
                              weights, chunk_map)
         for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
             total_w += sum_w
@@ -533,7 +530,8 @@ def run_two_point(config):
     pairs.sort()
     n_buckets = 4
 
-    def pair_sums(ys, yt):
+    def pair_sums(acc):
+        ys, yt = acc.real, acc.imag
         hs, ht = ys >= threshold, yt >= threshold
         return (int(np.count_nonzero(hs)), int(np.count_nonzero(ht)),
                 int(np.count_nonzero(hs & ht)), float(ys.sum()), float(yt.sum()),
@@ -545,20 +543,23 @@ def run_two_point(config):
                   for _ in range(n_buckets)]
     with thread_map(config.threads) as chunk_map:
         for pair_idx, (dist, s, t) in enumerate(pairs):
-            # the same drawn cycle lengths drive both points; the draws start
-            # first, and each waits for a block's values until they are built
-            ready = [Future() for _ in blocks]
+            # the same drawn cycle lengths drive both points: block i's values
+            # at s and t are one complex array, built by the first chunk that
+            # reaches block i and shared with the pair's other chunks
+            built = [None] * len(blocks)
+            locks = [threading.Lock() for _ in blocks]
+
+            def values(i):
+                with locks[i]:
+                    if built[i] is None:
+                        vals = np.empty(len(lengths[i]), complex)
+                        vals.real = log_abs_term_array(lengths[i], s)
+                        vals.imag = log_abs_term_array(lengths[i], t)
+                        built[i] = vals
+                    return built[i]
+
             parts = _block_draws(guides, config.samples, (config.seed, name, "mc", pair_idx),
-                                 lambda i: ready[i].result(), pair_sums, chunk_map)
-            try:
-                for block_lengths, values in zip(lengths, ready):
-                    values.set_result((log_abs_term_array(block_lengths, s),
-                                       log_abs_term_array(block_lengths, t)))
-            except BaseException as exc:
-                for values in ready:
-                    if not values.done():
-                        values.set_exception(exc)
-                raise
+                                 values, pair_sums, chunk_map, dtype=complex)
             totals = (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
             for part in parts:
                 totals = tuple(a + b for a, b in zip(totals, part))
@@ -684,9 +685,20 @@ def run_arc_profile(config):
 
 
 def run_occupancy(config):
-    """Monte Carlo of block occupancy counts against their predicted means."""
+    """Monte Carlo of block occupancy counts against their predicted means.
+
+    The nb block counts of a replica are independent Poisson(lambda_k),
+    which in law is a Poisson(sum lambda) total of cycles, each falling in
+    block k with probability lambda_k / sum lambda. So a replica draws its
+    total N, then places its N cycles through the guide table of the
+    cumulative lambdas: the work is the cycles drawn, not the blocks.
+    """
     name = config.name or "occupancy"
     rho, m, nb = config.rho, config.m, config.n_blocks
+    if not rho > 0:
+        raise ConfigError(f"rho = {rho!r}: occupancy needs rho > 0")
+    if nb < 1:
+        raise ConfigError(f"n_blocks = {nb}: occupancy needs n_blocks >= 1")
     n = m + nb
     if m < (8.0 / rho) * math.log(1.0 / rho):
         raise ConfigError(
@@ -696,15 +708,25 @@ def run_occupancy(config):
     report.columns = ["chunk", "size", "sum_q1", "sum_sq_q1", "sum_q2",
                       "sum_tot", "sum_sq_tot"]
     rho_vec = np.array([block_mean(k, rho) for k in range(m, n)])
+    cum = np.cumsum(rho_vec)
+    table = guide_table(cum, float(cum[-1]))
 
     def chunk_sums(task):
         sz, rng = task
-        # OCC_BATCH rows at a time draw the same counts as one (sz, nb) call
-        # with an eighth of its memory; every sum is an integer below 2^53
-        q1, q2, tot = np.concatenate([
-            [(cnt == 1).sum(axis=1), (cnt >= 2).sum(axis=1), cnt.sum(axis=1)]
-            for cnt in (rng.poisson(lam=rho_vec, size=(rows, nb))
-                        for _, rows in _chunks(sz, OCC_BATCH))], axis=1).astype(float)
+        tot = rng.poisson(table["total"], size=sz)
+        q1, q2 = np.empty(sz), np.empty(sz)
+        # each batch continues the chunk's stream, so the batches place the
+        # cycles one draw of the chunk's uniforms would; the rows' blocks are
+        # offset by row * nb and counted in one bincount
+        for start in range(0, sz, OCC_BATCH):
+            rows = tot[start:start + OCC_BATCH]
+            blocks = guide_index(table, rng.random(int(rows.sum())))
+            blocks += np.repeat(np.arange(0, len(rows) * nb, nb), rows)
+            cnt = np.bincount(blocks, minlength=len(rows) * nb).reshape(len(rows), nb)
+            q1[start:start + len(rows)] = (cnt == 1).sum(axis=1)
+            q2[start:start + len(rows)] = (cnt >= 2).sum(axis=1)
+        # every sum is an integer below 2^53
+        tot = tot.astype(float)
         return [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
 
     sums = np.zeros(5)
@@ -722,12 +744,17 @@ def run_occupancy(config):
     pred_tot = rho * nb
     tol_q1 = 3.0 * math.sqrt(var_q1 / reps) + rho**3 * nb
     tol_tot = 3.0 * math.sqrt(var_tot / reps)
+    # exact means of the independent Poisson(lambda_k) counts, reported only
+    absent = np.exp(-rho_vec)
     report.cells.append({
         "rho": rho, "m": m, "n": n, "replicas": reps,
         "mean_q1": mean_q1, "predicted_q1": pred_q1, "tolerance_q1": tol_q1,
         "mean_q2plus": mean_q2, "bound_q2plus": 5.0 * rho**2 * nb,
         "mean_total": mean_tot, "predicted_total": pred_tot,
         "tolerance_total": tol_tot,
+        "exact_q1": float((rho_vec * absent).sum()),
+        "exact_q2plus": float((1.0 - absent * (1.0 + rho_vec)).sum()),
+        "exact_total": float(table["total"]),
     })
     report.series.append({
         "name": "occupancy means", "x": [1.0, 2.0, 3.0],

@@ -133,6 +133,24 @@ def test_experiment_config_overrides(tmp_path):
         assert run(["experiment", name, "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("overrides, limit", [
+    ({"rho": 0}, "occupancy needs rho > 0"),
+    ({"rho": -0.1}, "occupancy needs rho > 0"),
+    ({"n_blocks": -5}, "occupancy needs n_blocks >= 1"),
+    ({"n_blocks": 0}, "occupancy needs n_blocks >= 1"),
+], ids=["rho0", "rho-negative", "blocks-negative", "blocks0"])
+def test_occupancy_config_out_of_domain_exits_2(overrides, limit, tmp_path, capsys):
+    # refused before any arithmetic: no traceback, no vacuous pass
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", "occupancy", "--config", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("name", ["clt", "lln"])
 def test_n_below_2_exits_2(name, tmp_path, capsys):
     # log N = 0: the CLT scale and every max/log N ratio are undefined

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -480,15 +481,39 @@ def test_block_draw_reports_keep_their_bytes(name, overrides, hashes, threads):
             hashlib.sha256(report.csv_text().encode()).hexdigest()[:8]) == hashes
 
 
-def test_occupancy_batches_draw_what_one_call_draws():
+def test_occupancy_placement_matches_a_bruteforce_recount():
+    # chunk 0 recounted cycle by cycle: a Poisson(sum lambda) total per row,
+    # then all the chunk's uniforms at once, each placed at the clipped
+    # searchsorted index of r * total and counted with np.add.at
     cfg = default_config("occupancy", seed=12, replicas=300)
     row = run_occupancy(cfg).rows[0]
-    rho_vec = np.array([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
-    cnt = stream(12, "occupancy", 0).poisson(lam=rho_vec, size=(256, cfg.n_blocks))
+    cum = np.cumsum([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
+    total = float(cum[-1])
+    rng = stream(12, "occupancy", 0)
+    tot = rng.poisson(total, size=256)
+    blocks = np.minimum(np.searchsorted(cum, rng.random(tot.sum()) * total),
+                        cfg.n_blocks - 1)
+    cnt = np.zeros((256, cfg.n_blocks), dtype=np.int64)
+    np.add.at(cnt, (np.repeat(np.arange(256), tot), blocks), 1)
     q1 = (cnt == 1).sum(axis=1).astype(float)
-    tot = cnt.sum(axis=1).astype(float)
-    assert row == [0, 256, q1.sum(), (q1 * q1).sum(), float((cnt >= 2).sum()),
-                   tot.sum(), (tot * tot).sum()]
+    q2 = (cnt >= 2).sum(axis=1).astype(float)
+    tot = tot.astype(float)
+    assert row == [0, 256, q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
+
+
+def test_occupancy_means_match_the_exact_poisson_means():
+    # independent Poisson(lambda_k) block counts: |Q1|, |Q>=2| and N are sums
+    # of independent indicators and counts, with exact means and variances
+    cfg = default_config("occupancy", seed=7, replicas=4000, n_blocks=50)
+    cell = run_occupancy(cfg).cells[0]
+    lam = np.array([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
+    p1 = lam * np.exp(-lam)
+    p2 = 1.0 - np.exp(-lam) * (1.0 + lam)
+    for key, mean, var in (("q1", p1.sum(), (p1 * (1 - p1)).sum()),
+                           ("q2plus", p2.sum(), (p2 * (1 - p2)).sum()),
+                           ("total", lam.sum(), lam.sum())):
+        assert cell[f"exact_{key}"] == pytest.approx(mean, rel=1e-12)
+        assert abs(cell[f"mean_{key}"] - mean) <= 4.0 * math.sqrt(var / cfg.replicas), key
 
 
 def _error_of(run):
@@ -522,6 +547,28 @@ def test_two_point_value_build_error_reaches_the_caller(monkeypatch):
     cfg = default_config("two-point", seed=3, samples=4000, y=0.25, threads=2)
     error = _error_of(lambda: run_two_point(cfg))
     assert isinstance(error, RuntimeError) and str(error) == "value build failed"
+
+
+def test_two_point_builds_each_block_once_per_pair(monkeypatch):
+    # 16 chunks per pair race for each block's values on more workers than
+    # cores, switching threads often: a lost check-then-act on the memo
+    # would build a block twice
+    calls = itertools.count()
+
+    def counted(lengths, t):
+        next(calls)
+        return log_abs_term_array(lengths, t)
+
+    monkeypatch.setattr(experiments, "log_abs_term_array", counted)
+    monkeypatch.setattr(experiments, "CHUNK", 250)
+    cfg = default_config("two-point", seed=3, samples=4000, y=0.25, threads=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _error_of(lambda: run_two_point(cfg)) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert next(calls) == 2 * cfg.q * 12  # s and t, every block, 12 pairs
 
 
 @pytest.mark.parametrize("name,overrides", [
