@@ -8,9 +8,11 @@ The layer figures are taken in a fresh interpreter per tree (this one and,
 with --parent, a checkout of the commit to compare with), each importing
 the package from its own ``src``:
 
-- ns per draw of ``experiments._block_draws`` on the 32 default two-point
-  1/ell tables (two value arrays gathered per block) and on the 32 tilted
-  conditional-tail tables at x* (one array), at 1 thread and at ``nproc``;
+- ns per draw of ``experiments._block_draws`` run by
+  ``experiments._monte_carlo`` on the 32 default two-point 1/ell tables
+  (the values at two points gathered as one complex array per block) and
+  on the 32 tilted conditional-tail tables at x* (one array), at 1 thread
+  and at ``nproc``;
 - ns per draw of ``guide_index`` alone, its own time inside the 1-thread
   runs;
 - ns per term of ``field.log_abs_term_array`` over the two-point lengths;
@@ -29,7 +31,6 @@ per-workload medians, quartiles and the number of pairs the change won.
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -78,29 +79,24 @@ def layers():
            "numpy": np.__version__, "scipy": scipy.__version__,
            "draws_per_run": draws, "repeats": REPEATS}
 
-    one_accumulator = "dtype" in inspect.signature(experiments._block_draws).parameters
     tilted_vals = [tb["vals"] for tb in tilted]
-    if one_accumulator:
-        # this tree's draw loop adds one array per block into one accumulator,
-        # and gathers the pair's values at s and t as one complex array
-        pairs = [np.empty(len(ell), complex) for ell in lengths]
-        for pair, (vs, vt) in zip(pairs, pair_vals):
-            pair.real, pair.imag = vs, vt
-        pair_vals = pairs
-    else:
-        tilted_vals = [(vals,) for vals in tilted_vals]
+    # the draw loop adds one array per block into one accumulator, and
+    # gathers the pair's values at s and t as one complex array
+    pairs = [np.empty(len(ell), complex) for ell in lengths]
+    for pair, (vs, vt) in zip(pairs, pair_vals):
+        pair.real, pair.imag = vs, vt
+    pair_vals = pairs
 
     def block_draws(tables, values, threads):
-        with thread_map(threads) as chunk_map:
-            if one_accumulator:
-                parts = experiments._block_draws(
-                    tables, SAMPLES, (0, "bench", "draws"), values.__getitem__,
-                    lambda acc: float(acc.real.sum()), chunk_map, dtype=values[0].dtype)
-            else:
-                parts = experiments._block_draws(
-                    tables, SAMPLES, (0, "bench", "draws"), values.__getitem__,
-                    lambda *sums: float(sums[0].sum()), chunk_map)
-            list(parts)
+        args = (values.__getitem__, lambda acc: float(acc.real.sum()))
+        if hasattr(experiments, "_monte_carlo"):
+            work = experiments._block_draws(tables, *args, values[0].dtype)
+            experiments._monte_carlo(work, SAMPLES, experiments.CHUNK, (0, "bench", "draws"),
+                                     threads)
+        else:  # a tree from before the one Monte Carlo runner
+            with thread_map(threads) as chunk_map:
+                list(experiments._block_draws(tables, SAMPLES, (0, "bench", "draws"), *args,
+                                              chunk_map, dtype=values[0].dtype))
 
     sets = {"two_point": (guides, pair_vals), "tilted": (tilted, tilted_vals)}
     walk = experiments.guide_index

@@ -7,11 +7,10 @@ byte-identical across thread counts and reruns. Monte Carlo chunks run on
 config.threads workers: the caller makes each chunk's stream (and every
 other layer call but two-point's block values, which the first worker to
 reach a block builds), a worker reduces the chunk to a few sums, and the
-caller adds those in chunk order. Rare block-conditioned
-upper tails are estimated by exponential tilting at the maximizing tilt
-with likelihood-ratio reweighting; naive Monte Carlo is refused when the
-predicted probability is below 1e-5. The i.i.d. tail they are compared
-with is exact (ratefn.iid_tail).
+caller adds those in chunk order. Block-conditioned upper tails are
+estimated by exponential tilting at the maximizing tilt with
+likelihood-ratio reweighting. The i.i.d. tail they are compared with is
+exact (ratefn.iid_tail).
 """
 
 import math
@@ -73,7 +72,6 @@ LLN_BRACKET = (0.45, ratefn.LOG2)
 LLN_PILOT_BAND = (0.40, 0.97)
 MEDIAN_TREND_SLACK = 0.04  # ~1 sd of a 20-replica cell median
 IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
-NAIVE_MC_FLOOR = 1e-5
 CHUNK = 1 << 16
 OCC_CHUNK = 256
 OCC_BATCH = 32  # rows per bincount inside an occupancy chunk
@@ -325,115 +323,93 @@ def run_clt_check(config):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _block_tables(blocks, rho, t, beta=None):
-    """Per-block lengths, term values at t, and guide tables of the pmf.
+def _block_tables(blocks, rho, t, beta):
+    """Per-block lengths, term values at t, and guide tables of the tilted pmf.
 
-    With beta=None the pmf is the conditional one, proportional to 1/ell,
-    and its table is the one cycles.one_over_ell_table caches per block;
-    otherwise it is tilted by e^{beta V}, its weights e^{beta (V - max V)} /
-    ell are finite at any tilt, and log_phi holds the log normalizer
-    beta max V + log(total / rho_k). Returns a list of dicts with the keys
-    of cycles.guide_table plus "lengths", "vals", "log_phi".
+    The pmf is proportional to e^{beta V} / ell; its weights
+    e^{beta (V - max V)} / ell are finite at any tilt, and log_phi holds the
+    log normalizer beta max V + log(total / rho_k). Returns a list of dicts
+    with the keys of cycles.guide_table plus "lengths", "vals", "log_phi".
     """
     tables = []
-    tf = float(t)
     for k in blocks:
         a, b = block_bounds(k, rho)
-        lengths, table = (one_over_ell_table(a, b) if beta is None
-                          else (np.arange(a, b, dtype=np.int64), None))
-        vals = log_abs_term_array(lengths, tf)
-        log_phi = 0.0
-        if beta is not None:
-            top = float(vals.max(initial=NEG_INF))
-            if top == NEG_INF:
-                raise ConfigError(f"block k={k} = [{a}, {b}) has no length where "
-                                  f"the field at t={t} is finite: the tilt has no mass")
-            w = np.exp(beta * (vals - top)) / lengths
-            table = guide_table(np.cumsum(w), float(w.sum()))
-            log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
+        lengths = np.arange(a, b, dtype=np.int64)
+        vals = log_abs_term_array(lengths, float(t))
+        top = float(vals.max(initial=NEG_INF))
+        if top == NEG_INF:
+            raise ConfigError(f"block k={k} = [{a}, {b}) has no length where "
+                              f"the field at t={t} is finite: the tilt has no mass")
+        w = np.exp(beta * (vals - top)) / lengths
+        table = guide_table(np.cumsum(w), float(w.sum()))
+        log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
         tables.append(dict(table, lengths=lengths, vals=vals, log_phi=log_phi))
     return tables
 
 
-def _chunks(total, size):
-    """(index, length) of the consecutive chunks of at most size that make up total."""
-    for index, start in enumerate(range(0, total, size)):
-        yield index, min(size, total - start)
+def _monte_carlo(work, total, size, seed_args, threads):
+    """work(n, rng) of each chunk of total on `threads` workers, in chunk order.
 
-
-def _block_draws(tables, samples, seed_args, values, reduce, chunk_map, dtype=float):
-    """reduce(acc) of each chunk of block draws, in chunk order.
-
-    Chunks hold at most CHUNK samples, with uniforms from stream(*seed_args,
-    chunk_idx), made here on the caller's thread. The guide walk maps each
-    uniform r to exactly the clipped searchsorted index of r * total in the
-    cumulative weights. values(i), block i's per-length value array, is read
-    through those indices and added into one dtype accumulator; a worker
-    calls it after drawing block i.
+    Chunk i holds n = min(size, total - i * size) samples and draws them
+    from stream(*seed_args, i), made here on the caller's thread.
     """
-    def draw(task):
-        mlen, rng = task
-        acc = np.zeros(mlen, dtype)
+    tasks = [(min(size, total - start), stream(*seed_args, i))
+             for i, start in enumerate(range(0, total, size))]
+    with thread_map(threads) as chunk_map:
+        return list(chunk_map(lambda task: work(*task), tasks))
+
+
+def _block_draws(tables, values, reduce, dtype=float):
+    """work(n, rng) for _monte_carlo: reduce(acc) of n draws from every block.
+
+    The guide walk maps each uniform r to exactly the clipped searchsorted
+    index of r * total in the cumulative weights. values(i), block i's
+    per-length value array, is read through those indices and added into
+    one dtype accumulator; a worker calls it after drawing block i.
+    """
+    def draw(n, rng):
+        acc = np.zeros(n, dtype)
         for i, tb in enumerate(tables):
-            idx = guide_index(tb, rng.random(mlen))
+            # keep idx named: freed at once inside the one-liner, each 512 KB
+            # index array (likely) lets glibc trim the heap top and fault it
+            # back in for the next block; a default 1-thread run then took
+            # 14x the minor faults (12k -> 172k) and 0.3 s more wall time
+            idx = guide_index(tb, rng.random(n))
             acc += values(i)[idx]
         return reduce(acc)
 
-    return chunk_map(draw, [(mlen, stream(*seed_args, chunk_idx))
-                            for chunk_idx, mlen in _chunks(samples, CHUNK)])
+    return draw
 
 
-def _conditional_tail(tables, beta, threshold, samples, seed_args, threads):
-    """Estimate of P(sum_k V_k >= threshold) under the block-conditioned law.
-
-    With beta, the tables are tilted by e^{beta V} and each hit carries the
-    likelihood ratio; with beta=None they hold the conditional pmf and each
-    hit counts 1 (direct Monte Carlo, binomial standard error).
-    """
-    log_phi_sum = sum(tb["log_phi"] for tb in tables)
-
-    def weights(y):
-        if beta is None:
-            w = (y >= threshold).astype(float)
-        else:
-            w = np.where(y >= threshold, np.exp(-beta * y + log_phi_sum), 0.0)
-        return y.size, float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
-
-    rows = []
-    total_w = total_w2 = 0.0
-    hits = 0
-    with thread_map(threads) as chunk_map:
-        parts = _block_draws(tables, samples, seed_args, lambda i: tables[i]["vals"],
-                             weights, chunk_map)
-        for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
-            total_w += sum_w
-            total_w2 += sum_w2
-            hits += nonzero
-            rows.append([chunk_idx, size, sum_w, sum_w2, hits])
-    mean = total_w / samples
-    if beta is None:
-        return mean, math.sqrt(max(mean * (1 - mean), 0.0) / samples), rows
-    var = max(total_w2 / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples), rows
+def _block_range(name, config):
+    """Blocks m .. m + q - 1, refusing rho <= 0 and q < 1 before any arithmetic."""
+    if not config.rho > 0:
+        raise ConfigError(f"rho = {config.rho!r}: {name} needs rho > 0")
+    if config.q < 1:
+        raise ConfigError(f"q = {config.q}: {name} needs q >= 1 blocks")
+    return list(range(config.m, config.m + config.q))
 
 
 def run_conditional_tail(config):
     """Three values of the upper tail at level y*q.
 
-    (a) Monte Carlo of the conditioned field (tilted importance sampling
-    when the tail is rare), (b) the exact i.i.d. tail, (c) the sharp
-    analytic asymptotic. Asserts (b)/(c) and (a)/(b) ratios.
+    (a) Monte Carlo of the conditioned field by tilted importance sampling,
+    (b) the exact i.i.d. tail, (c) the sharp analytic asymptotic. Asserts
+    (b)/(c) and (a)/(b) ratios.
     """
     name = config.name or "conditional-tail"
+    blocks = _block_range(name, config)
     t = parse_torus_point(config.t or "sqrt2")
     y = config.y or _critical().x_crit
-    q = config.q
-    rho, m = config.rho, config.m
-    blocks = list(range(m, m + q))
+    q, rho, m = config.q, config.rho, config.m
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["estimator", "chunk", "samples", "sum_w", "sum_w2", "hits"]
 
     kappa_check = config.kappa or math.exp(-rho * m / 2.0)
+    if not config.kappa and not 0.0 < kappa_check < 0.5:
+        raise ConfigError(f"kappa = e^(-rho m/2) = {kappa_check!r}, derived from "
+                          f"rho = {rho!r} and m = {m}, must lie in (0, 1/2): "
+                          "set kappa or change rho * m")
     arc = classify(t, config.xi0, kappa_check)
     major = arc.kind == "major"
     if major:
@@ -453,20 +429,33 @@ def run_conditional_tail(config):
                            f"y = {y!r} >= log 2: P = 0 exactly")
         return report
 
-    rate, beta = ratefn.legendre(y)
+    _, beta = ratefn.legendre(y)
     predicted = ratefn.bahadur_rao_tail(y, q)
     threshold = y * q
-    rare = predicted < NAIVE_MC_FLOOR
     report.notes.append(
-        f"y={y!r} beta={beta!r} predicted={predicted!r} "
-        f"method={'tilted-importance' if rare else 'direct'}")
+        f"y={y!r} beta={beta!r} predicted={predicted!r} method=tilted-importance")
 
-    # (a) block-conditioned estimate
-    tilt = beta if rare else None
-    est_a, se_a, rows_a = _conditional_tail(
-        _block_tables(blocks, rho, t, beta=tilt), tilt, threshold,
-        config.samples, (config.seed, name, "block"), config.threads)
-    report.rows.extend(["block-conditioned"] + row for row in rows_a)
+    # (a) block-conditioned estimate: the blocks are drawn tilted by
+    # e^{beta V} and each hit carries its likelihood ratio
+    tables = _block_tables(blocks, rho, t, beta)
+    log_phi_sum = sum(tb["log_phi"] for tb in tables)
+
+    def weights(sums):
+        w = np.where(sums >= threshold, np.exp(-beta * sums + log_phi_sum), 0.0)
+        return sums.size, float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
+
+    parts = _monte_carlo(_block_draws(tables, lambda i: tables[i]["vals"], weights),
+                         config.samples, CHUNK, (config.seed, name, "block"),
+                         config.threads)
+    total_w = total_w2 = 0.0
+    hits = 0
+    for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
+        total_w += sum_w
+        total_w2 += sum_w2
+        hits += nonzero
+        report.rows.append(["block-conditioned", chunk_idx, size, sum_w, sum_w2, hits])
+    est_a = total_w / config.samples
+    se_a = math.sqrt(max(total_w2 / config.samples - est_a * est_a, 0.0) / config.samples)
 
     est_b = ratefn.iid_tail(y, q)
     report.cells.append({"estimator": "block-conditioned", "estimate": est_a,
@@ -512,8 +501,8 @@ def run_two_point(config):
     small. The near-zero bucket is reported without assertion.
     """
     name = config.name or "two-point"
-    q, rho, m, xi0 = config.q, config.rho, config.m, config.xi0
-    blocks = list(range(m, m + q))
+    blocks = _block_range(name, config)
+    q, rho, xi0 = config.q, config.rho, config.xi0
     y = config.y or _calibrate_level(q)
     threshold = y * q
     n_pairs = 12
@@ -522,12 +511,8 @@ def run_two_point(config):
                       "hits_s", "hits_t", "hits_joint", "corr"]
     report.notes.append(f"y={y!r} threshold={threshold!r}")
 
-    rng_pairs = stream(config.seed, name, "pairs")
-    pairs = []
-    for _ in range(n_pairs):
-        s, t = float(rng_pairs.random()), float(rng_pairs.random())
-        pairs.append((arithmetic_distance(s, t, xi0), s, t))
-    pairs.sort()
+    points = stream(config.seed, name, "pairs").random((n_pairs, 2)).tolist()
+    pairs = sorted((arithmetic_distance(s, t, xi0), s, t) for s, t in points)
     n_buckets = 4
 
     def pair_sums(acc):
@@ -539,45 +524,37 @@ def run_two_point(config):
 
     # the 1/ell tables do not depend on the point: one set serves every pair
     lengths, guides = zip(*(one_over_ell_table(*block_bounds(k, rho)) for k in blocks))
-    bucket_acc = [dict(samples=0, hits_s=0, hits_t=0, hits_joint=0, corrs=[])
-                  for _ in range(n_buckets)]
-    with thread_map(config.threads) as chunk_map:
-        for pair_idx, (dist, s, t) in enumerate(pairs):
-            # the same drawn cycle lengths drive both points: block i's values
-            # at s and t are one complex array, built by the first chunk that
-            # reaches block i and shared with the pair's other chunks
-            built = [None] * len(blocks)
-            locks = [threading.Lock() for _ in blocks]
+    for pair_idx, (dist, s, t) in enumerate(pairs):
+        # the same drawn cycle lengths drive both points: block i's values at
+        # s and t are one complex array, built by the first chunk that
+        # reaches block i and shared with the pair's other chunks
+        built = [None] * len(blocks)
+        locks = [threading.Lock() for _ in blocks]
 
-            def values(i):
-                with locks[i]:
-                    if built[i] is None:
-                        vals = np.empty(len(lengths[i]), complex)
-                        vals.real = log_abs_term_array(lengths[i], s)
-                        vals.imag = log_abs_term_array(lengths[i], t)
-                        built[i] = vals
-                    return built[i]
+        def values(i):
+            with locks[i]:
+                if built[i] is None:
+                    vals = np.empty(len(lengths[i]), complex)
+                    vals.real = log_abs_term_array(lengths[i], s)
+                    vals.imag = log_abs_term_array(lengths[i], t)
+                    built[i] = vals
+                return built[i]
 
-            parts = _block_draws(guides, config.samples, (config.seed, name, "mc", pair_idx),
-                                 values, pair_sums, chunk_map, dtype=complex)
-            totals = (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            for part in parts:
-                totals = tuple(a + b for a, b in zip(totals, part))
-            hits_s, hits_t, hits_joint, sum_s, sum_t, sum_st, sum_s2, sum_t2 = totals
-            nn = config.samples
-            cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
-            var_s = sum_s2 / nn - (sum_s / nn) ** 2
-            var_t = sum_t2 / nn - (sum_t / nn) ** 2
-            corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
-            bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
-            acc = bucket_acc[bucket]
-            acc["samples"] += nn
-            acc["hits_s"] += hits_s
-            acc["hits_t"] += hits_t
-            acc["hits_joint"] += hits_joint
-            acc["corrs"].append(corr)
-            report.rows.append([pair_idx, bucket, s, t, dist, nn, hits_s, hits_t,
-                                hits_joint, corr])
+        parts = _monte_carlo(_block_draws(guides, values, pair_sums, complex),
+                             config.samples, CHUNK, (config.seed, name, "mc", pair_idx),
+                             config.threads)
+        totals = (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        for part in parts:
+            totals = tuple(a + b for a, b in zip(totals, part))
+        hits_s, hits_t, hits_joint, sum_s, sum_t, sum_st, sum_s2, sum_t2 = totals
+        nn = config.samples
+        cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
+        var_s = sum_s2 / nn - (sum_s / nn) ** 2
+        var_t = sum_t2 / nn - (sum_t / nn) ** 2
+        corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
+        bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
+        report.rows.append([pair_idx, bucket, s, t, dist, nn, hits_s, hits_t,
+                            hits_joint, corr])
 
     # degenerate diagonal cell: at s = t the joint rate IS the marginal
     # rate, so joint/product collapses to 1/p (maximal correlation)
@@ -590,27 +567,26 @@ def run_two_point(config):
         })
 
     ratios = []
-    for b, acc in enumerate(bucket_acc):
-        nn = acc["samples"]
-        ps, pt = acc["hits_s"] / nn, acc["hits_t"] / nn
-        pj = acc["hits_joint"] / nn
+    for b in range(n_buckets):
+        rows = [row for row in report.rows if row[1] == b]
+        nn = sum(row[5] for row in rows)
+        ps, pt, pj = (sum(row[col] for row in rows) / nn for col in (6, 7, 8))
         ratio = pj / (ps * pt) if ps > 0 and pt > 0 else float("inf")
         ratios.append(ratio)
+        max_corr = max(abs(row[9]) for row in rows)
         report.cells.append({
             "bucket": b, "samples": nn, "rate_s": ps, "rate_t": pt,
-            "rate_joint": pj, "joint_over_product": ratio,
-            "max_abs_corr": max(abs(c) for c in acc["corrs"]),
+            "rate_joint": pj, "joint_over_product": ratio, "max_abs_corr": max_corr,
         })
     report.series.append({
         "name": "joint/product by distance bucket",
         "x": [float(b) for b in range(n_buckets)], "y": ratios,
     })
-    top = bucket_acc[-1]
     top_ratio = ratios[-1]
     report.add_verdict(
         "top-bucket-factorization", 0.5 <= top_ratio <= 2.0,
         f"joint/product = {top_ratio:.3f} in the top distance bucket")
-    max_corr = max(abs(c) for c in top["corrs"])
+    # max_corr is the top bucket's, the last the loop above read
     report.add_verdict(
         "top-bucket-correlation", max_corr < 0.1,
         f"max |corr(Y(s), Y(t))| = {max_corr:.4f} in the top bucket")
@@ -711,8 +687,7 @@ def run_occupancy(config):
     cum = np.cumsum(rho_vec)
     table = guide_table(cum, float(cum[-1]))
 
-    def chunk_sums(task):
-        sz, rng = task
+    def chunk_sums(sz, rng):
         tot = rng.poisson(table["total"], size=sz)
         q1, q2 = np.empty(sz), np.empty(sz)
         # each batch continues the chunk's stream, so the batches place the
@@ -727,15 +702,14 @@ def run_occupancy(config):
             q2[start:start + len(rows)] = (cnt >= 2).sum(axis=1)
         # every sum is an integer below 2^53
         tot = tot.astype(float)
-        return [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
+        return sz, [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
 
     sums = np.zeros(5)
-    tasks = [(sz, stream(config.seed, name, chunk_idx))
-             for chunk_idx, sz in _chunks(config.replicas, OCC_CHUNK)]
-    with thread_map(config.threads) as chunk_map:
-        for chunk_idx, part in enumerate(chunk_map(chunk_sums, tasks)):
-            sums += np.array(part)
-            report.rows.append([chunk_idx, tasks[chunk_idx][0]] + [float(v) for v in part])
+    parts = _monte_carlo(chunk_sums, config.replicas, OCC_CHUNK, (config.seed, name),
+                         config.threads)
+    for chunk_idx, (sz, part) in enumerate(parts):
+        sums += np.array(part)
+        report.rows.append([chunk_idx, sz] + [float(v) for v in part])
     reps = config.replicas
     mean_q1, mean_q2, mean_tot = sums[0] / reps, sums[2] / reps, sums[3] / reps
     var_q1 = max(sums[1] / reps - mean_q1**2, 0.0)

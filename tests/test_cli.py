@@ -151,6 +151,28 @@ def test_occupancy_config_out_of_domain_exits_2(overrides, limit, tmp_path, caps
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("name, overrides, limit", [
+    ("two-point", {"q": 0, "y": 0.25}, "q = 0: two-point needs q >= 1"),
+    ("two-point", {"rho": 0}, "rho = 0: two-point needs rho > 0"),
+    ("conditional-tail", {"q": 0}, "q = 0: conditional-tail needs q >= 1"),
+    ("conditional-tail", {"rho": 0}, "rho = 0: conditional-tail needs rho > 0"),
+    ("conditional-tail", {"m": 0}, "kappa = e^(-rho m/2) = 1.0, derived from rho = 0.05 "
+                                   "and m = 0, must lie in (0, 1/2)"),
+], ids=["two-point-q0", "two-point-rho0", "conditional-tail-q0", "conditional-tail-rho0",
+        "conditional-tail-m0"])
+def test_block_config_out_of_domain_exits_2(name, overrides, limit, tmp_path, capsys):
+    # refused with the limit named: before, q = 0 failed to unpack an empty
+    # zip, and rho = 0 or m = 0 blamed a kappa the config never set
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", name, "--config", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("name", ["clt", "lln"])
 def test_n_below_2_exits_2(name, tmp_path, capsys):
     # log N = 0: the CLT scale and every max/log N ratio are undefined

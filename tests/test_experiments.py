@@ -14,10 +14,12 @@ from scipy import stats
 
 from permfield import experiments, ratefn
 from permfield.cycles import (
+    block_bounds,
     block_mean,
     guide_index,
     guide_table,
     harmonic_sum,
+    one_over_ell_table,
     sample_cycle_structure,
 )
 from permfield.errors import ConfigError, InvalidArgumentError
@@ -178,14 +180,25 @@ def test_conditional_tail_small():
     assert est == pytest.approx(a, rel=1e-12)
 
 
-def test_conditional_tail_direct_path_for_common_events():
-    # moderate level: the predicted tail is above the naive-MC floor, so the
-    # direct sampler (exact conditional pmf per block) is used
+def test_conditional_tail_tilted_estimate_matches_a_bruteforce_count():
+    # a common event (predicted 0.35): hits of the untilted block-conditioned
+    # law, each block drawn by searchsorted on its 1/ell table, counted here;
+    # the tilted estimate must lie within 4 combined standard errors
     cfg = default_config("conditional-tail", seed=3, samples=60000, y=0.25, q=8)
     report = run_conditional_tail(cfg)
-    assert "method=direct" in report.notes[0].replace("'", "")
-    cells = {c["estimator"]: c for c in report.cells}
-    assert cells["block-conditioned"]["estimate"] > 1e-3
+    assert "method=tilted-importance" in report.notes[0]
+    cell = {c["estimator"]: c for c in report.cells}["block-conditioned"]
+    n, t = 60000, float(parse_torus_point("sqrt2"))
+    rng = stream(3, "oracle")
+    sums = np.zeros(n)
+    for k in range(cfg.m, cfg.m + cfg.q):
+        lengths, table = one_over_ell_table(*block_bounds(k, cfg.rho))
+        idx = np.searchsorted(table["cum"], rng.random(n) * table["total"])
+        sums += log_abs_term_array(lengths[np.minimum(idx, len(lengths) - 1)], t)
+    p = np.count_nonzero(sums >= 0.25 * 8) / n
+    assert 0.2 < p < 0.5
+    se = math.sqrt(p * (1.0 - p) / n)
+    assert abs(cell["estimate"] - p) <= 4.0 * math.sqrt(cell["stderr"] ** 2 + se ** 2)
 
 
 def test_conditional_tail_quadrature_oracle_q1():
@@ -446,7 +459,7 @@ def test_reports_thread_count_invariant_and_schema(name, overrides):
 
 @pytest.mark.parametrize("name,overrides,chunks", [
     ("conditional-tail", dict(samples=4500), 5),  # tilted at x*
-    ("conditional-tail", dict(samples=4500, y=0.3), 5),  # direct: predicted 1.9e-2
+    ("conditional-tail", dict(samples=4500, y=0.3), 5),  # tilted: predicted 1.9e-2
     ("two-point", dict(samples=2500, y=0.25), None),
     ("occupancy", dict(replicas=300), 5),
 ])
@@ -463,13 +476,13 @@ def test_reports_thread_count_invariant_across_chunks(monkeypatch, name, overrid
     if chunks is not None:
         assert len(reports[0].rows) == chunks
     if name == "conditional-tail":
-        method = "direct" if "y" in overrides else "tilted-importance"
-        assert f"method={method}" in reports[0].notes[0]
+        assert "method=tilted-importance" in reports[0].notes[0]
 
 
 @pytest.mark.parametrize("name,overrides,hashes", [
     ("conditional-tail", dict(samples=30000), ("7b1aa0d6", "b8729627")),
     ("two-point", dict(samples=10000, y=0.25), ("1baf1a90", "cb2ba868")),
+    ("occupancy", dict(replicas=500), ("1c1fcd84", "f701cd17")),
 ])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_block_draw_reports_keep_their_bytes(name, overrides, hashes, threads):
