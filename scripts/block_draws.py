@@ -62,7 +62,7 @@ def layers():
     import scipy
 
     from permfield import cycles, experiments, ratefn
-    from permfield.field import log_abs_term_array, thread_map
+    from permfield.field import log_abs_term_array
 
     two = experiments.default_config("two-point", seed=0)
     blocks = list(range(two.m, two.m + two.q))
@@ -88,15 +88,10 @@ def layers():
     pair_vals = pairs
 
     def block_draws(tables, values, threads):
-        args = (values.__getitem__, lambda acc: float(acc.real.sum()))
-        if hasattr(experiments, "_monte_carlo"):
-            work = experiments._block_draws(tables, *args, values[0].dtype)
-            experiments._monte_carlo(work, SAMPLES, experiments.CHUNK, (0, "bench", "draws"),
-                                     threads)
-        else:  # a tree from before the one Monte Carlo runner
-            with thread_map(threads) as chunk_map:
-                list(experiments._block_draws(tables, SAMPLES, (0, "bench", "draws"), *args,
-                                              chunk_map, dtype=values[0].dtype))
+        work = experiments._block_draws(tables, values.__getitem__,
+                                        lambda acc: float(acc.real.sum()), values[0].dtype)
+        experiments._monte_carlo(work, SAMPLES, experiments.CHUNK, (0, "bench", "draws"),
+                                 threads)
 
     sets = {"two_point": (guides, pair_vals), "tilted": (tilted, tilted_vals)}
     walk = experiments.guide_index
@@ -126,7 +121,7 @@ def layers():
         totals = [tb["total"] for tb in tables]
         out[f"{name}.guide_table_build_ms"] = _median_ns(
             lambda: [cycles.guide_table(c, total) for c, total in zip(cums, totals)], 1) / 1e6
-        out[f"{name}.walk"] = max(tb.get("walk", -1) for tb in tables)
+        out[f"{name}.walk"] = max(tb["walk"] for tb in tables)
     occ = experiments.default_config("occupancy", seed=0)
     for threads in sorted({1, out["nproc"]}):
         config = experiments.default_config("occupancy", seed=0, threads=threads)

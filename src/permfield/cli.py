@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (all built-in assertions passing), 1 assertion
-failure (the report is still written), 2 usage or configuration error.
+failure (the report is still written), 2 usage, configuration, capacity
+or accuracy error.
 """
 
 import argparse
@@ -15,9 +16,9 @@ from fractions import Fraction
 from . import ratefn
 from .arith import BohrSpec, classify
 from .cycles import read_cycles_csv, sample_cycle_structure, write_cycles_csv
-from .errors import CapacityError, ConfigError, InvalidArgumentError
+from .errors import AccuracyError, CapacityError, ConfigError, InvalidArgumentError
 from .experiments import default_config, parse_torus_point, run_experiment
-from .field import FieldSpec, Mesh, NEG_INF, eval_point, scan_max, write_trace_csv
+from .field import FieldSpec, Mesh, eval_point, scan_max, write_trace_csv
 from .reports import ExperimentReport
 from .streams import stream
 from .svgplot import emit_plot
@@ -158,7 +159,7 @@ def _cmd_eval(args):
         cs = read_cycles_csv(fh.read())
     t = parse_torus_point(args.t)
     value = eval_point(FieldSpec(counts=cs, kind="imag" if args.imag else "real"), t)
-    print("-inf" if value == NEG_INF else repr(value))
+    print(repr(value))
     return 0
 
 
@@ -171,7 +172,7 @@ def _cmd_scan(args):
     res = scan_max(spec, mesh, threads=args.threads, want_trace=want_trace)
     print(f"argmax_j = {res.index}")
     print(f"t = {mesh.point_float(res.index)!r}")
-    print("max = " + ("-inf" if res.value == NEG_INF else repr(res.value)))
+    print(f"max = {res.value!r}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(write_trace_csv(mesh, res.trace))
@@ -273,7 +274,7 @@ def run(argv):
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors already print to stderr
         return int(exc.code or 0)
-    except (CapacityError, ConfigError, InvalidArgumentError, ValueError, OSError) as exc:
+    except (AccuracyError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

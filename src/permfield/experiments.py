@@ -117,6 +117,9 @@ def _stats(values):
 
 def _run_scan(config, kind):
     name = config.name or ("imag" if kind == "imag" else "lln")
+    if config.kind != kind:
+        raise ConfigError(f"kind = {config.kind}: {name} scans the {kind} field; run "
+                          f"{'imag' if kind == 'real' else 'lln'} for the {config.kind} one")
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = [
         "n", "replica", "max_value", "argmax", "ratio", "total_cycles",

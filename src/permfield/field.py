@@ -44,7 +44,7 @@ __all__ = [
 NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
-BLOCK = 1 << 16  # points per _scan_block call and per traced task
+BLOCK = 1 << 16  # points per traced task
 PRUNE_RUNS = 64  # surviving 4096-runs per step of the prune walk: bounds its memory
 BOUND_SPAN = 1 << 22  # mesh points per window of the unpruned 4096-run bound pass
 RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
@@ -290,6 +290,8 @@ def _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors=None):
     val = np.empty(len(j))
     terms = 0
     for i, (r, off, c) in enumerate(zip(residues, offsets, counts)):
+        if not len(j):
+            break
         _residues_into(num, j, r, off, q, qtd, d)
         term_array(num, d, kind, out=val)
         val *= c
@@ -300,8 +302,6 @@ def _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors=None):
             if not keep.all():
                 j, acc = j[keep], acc[keep]
                 num, val = num[:len(j)], val[:len(j)]
-                if not len(j):
-                    break
     return j, acc, terms
 
 
@@ -347,22 +347,17 @@ def _run_sup(a, b, d, kind):
     return sup
 
 
-def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind, floors):
-    """Starts of the runs starts .. starts + m - 1 whose bound reaches the floors.
+def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind):
+    """Bound of the field over each run starts .. starts + m - 1.
 
     A run turns ell t through a full period once ell (m - 1) >= q; lengths
-    ascend, so those are a suffix, whose terms the floors already bound by
-    c log 2 (c pi/2) each. Over the prefix of k shorter lengths the bound
-    sums c times the term's supremum over the run, LENGTH_GROUP lengths
-    per step, and after each step the runs below the floor of its last
-    length are dropped. Returns the surviving starts and the number of
-    (run, length) bounds computed; without floors no run is dropped, and
-    the bound of the field over every run, suffix included, comes in
-    place of the starts.
+    ascend, so those are a suffix, each bounded by c log 2 (c pi/2). Over
+    the prefix of k shorter lengths the bound sums c times the term's
+    supremum over the run, LENGTH_GROUP lengths per step. Returns the
+    bounds and the number of (run, length) bounds computed, len(starts) * k.
     """
     k = int(np.searchsorted(lengths, (q - 1) // (m - 1), side="right"))
     acc = np.zeros(len(starts))
-    bounds = 0
     for g in range(0, k, LENGTH_GROUP):
         group = slice(g, min(g + LENGTH_GROUP, k))
         a = np.empty((len(starts), group.stop - g), dtype=np.int64)
@@ -370,30 +365,18 @@ def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind, 
         sup = _run_sup(a, a + lengths[group] * (m - 1) * qtd, d, kind)
         sup *= counts[group]
         acc += sup.sum(axis=1)
-        bounds += a.size
-        if floors is None:
-            continue
-        keep = acc >= floors[group.stop - 1]
-        if not keep.all():
-            starts, acc = starts[keep], acc[keep]
-            if not len(starts):
-                break
-    if floors is None:
-        return acc + _PEAK[kind] * float(counts[k:].sum()), bounds
-    return starts, bounds
+    return acc + _PEAK[kind] * float(counts[k:].sum()), len(starts) * k
 
 
 def _first_max(results):
-    """(index, value) of the maximum over block results, smallest index on
-    ties; (None, -inf) when there is no point."""
-    best_j, best_val = None, NEG_INF
-    for j, acc, _ in results:
-        if len(acc):
-            k = int(np.argmax(acc))
-            v, jk = float(acc[k]), int(j[k])
-            if best_j is None or v > best_val or (v == best_val and jk < best_j):
-                best_j, best_val = jk, v
-    return best_j, best_val
+    """(index, value) of the maximum over (j, acc, terms) results, smallest
+    index on ties; (None, -inf) when there is no point."""
+    js, accs, _ = zip(*results)
+    j, acc = np.concatenate(js), np.concatenate(accs)
+    if not len(acc):
+        return None, NEG_INF
+    top = acc.max()
+    return int(j[acc == top].min()), float(top)
 
 
 def _sides(ranges, q):
@@ -431,7 +414,7 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     ScanResult.split is then ((index, value) inside, (index, value)
     outside), each the side's first maximizer, or (None, -inf) for a side
     without points; index and value stay the whole-mesh maximum. Without
-    ranges the mesh is one side.
+    ranges the mesh is one side. A traced scan takes no ranges.
 
     Without a trace the scan is an exact branch and bound on each side.
     Runs of 4096 and then of 64 consecutive points of the side's ranges
@@ -446,23 +429,25 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     the points of the best 16 64-runs in the best 4 4096-runs of the side
     (at most 1 024; ranked by bound, ties to the smaller start) are
     evaluated in full, and their best value is the side's threshold, a
-    function of the inputs alone. A run whose bound lies strictly below
-    the threshold - slack cannot hold that side's maximum. The surviving
-    4096-runs are walked in index order, PRUNE_RUNS at a time; the points
-    of their other 64-runs then run through the lengths in ascending
+    function of the inputs alone. A run is kept when its bound is at least
+    the threshold - slack; no other run can hold that side's maximum. The
+    kept 4096-runs are walked in index order, PRUNE_RUNS at a time; the
+    points of their kept 64-runs then run through the lengths in ascending
     order and are dropped as soon as their partial sum plus c log 2
     (c pi/2) per remaining length falls below that level. Survivors are
     summed in the same order with the same operations as the full scan,
     so their values are bit-identical to it. ScanResult.terms counts the
     (point, length) terms evaluated, each at most once, and
-    ScanResult.bounds the (run, length) bounds computed; both depend on
-    the inputs alone. A side of one range of at most 1 024 points is
-    evaluated in full by the threshold step; on sampled permutations at
-    N = 10^6 the terms are 0.05-0.1% of q * #distinct lengths.
+    ScanResult.bounds every (run, length) bound of each bounded run; both
+    depend on the inputs alone. A side of one range of at most 1 024
+    points is evaluated in full by the threshold step; on sampled
+    permutations at N = 10^6 the terms are 0.05-0.1% of q * #lengths.
 
     want_trace=True evaluates every term and returns the field on the
     whole mesh.
     """
+    if want_trace and ranges is not None:
+        raise InvalidArgumentError("a traced scan takes no index ranges")
     lengths, counts = _lengths(spec)
     max_len = int(lengths[-1]) if len(lengths) else 1
     _scan_capacity_check(mesh, max_len)
@@ -473,74 +458,61 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
     n_threads = resolve_threads(threads)
     kind = spec.kind
-    sides = [[(0, q)]] if ranges is None else _sides(ranges, q)
 
     def evaluate(j, floors=None):
         return _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors)
 
-    def bound(starts, m, floors=None):
-        return _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
-                           kind, floors)
+    def bound(starts, m):
+        return _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind)
 
     if want_trace:
         j = np.arange(q, dtype=np.int64)
         with thread_map(n_threads) as tmap:
-            full = list(tmap(evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)]))
-        terms, bounds = sum(t for _, _, t in full), 0
-        if ranges is None:
-            results = [full]
-        else:
-            ends, results = [e for r in sides[0] for e in r], [[], []]
-            for jb, acc, _ in full:
-                # a point is inside iff an odd number of range ends lie at or below it
-                inside = np.searchsorted(ends, jb, side="right") % 2 == 1
-                results[0].append((jb[inside], acc[inside], 0))
-                results[1].append((jb[~inside], acc[~inside], 0))
-    else:
-        per, total = _PEAK[kind], int(counts.sum())
-        results, terms, bounds = [], 0, 0
-        for side in sides:
-            hi = np.array([b for _, b in side], dtype=np.int64)
-            starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
-                              dtype=np.int64)
-            # the unpruned pass one window at a time; a run's bound is its own row
-            window = BOUND_SPAN // RUNS[0]
-            passes = [bound(starts[i:i + window], RUNS[0])
-                      for i in range(0, len(starts), window)]
-            coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
-            b0 = sum(b for _, b in passes)
-            # best first, ties to the smaller start; the points go in
-            # index order, as _first_max settles ties by position
-            fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
-                            RUNS[0], RUNS[1], hi)
-            fine_bound, b1 = bound(fine, RUNS[1])
-            done = np.sort(fine[np.lexsort((fine, -fine_bound))[:BEST[1]]])
-            best = evaluate(_subruns(done, RUNS[1], 1, hi))
-            found, bounds = [best], bounds + b0 + b1
-            threshold = float(best[1].max()) if len(best[1]) else NEG_INF
-            # the rounding of the sums and of the bounds stays far below 1e-9
-            # of the largest partial sum a survivor can reach; a -inf threshold
-            # gives an infinite slack and all floors -inf, so nothing is dropped
-            slack = 1e-9 * (1.0 + abs(threshold) + per * total)
-            floors = [threshold - slack - per * (total - c)
-                      for c in np.cumsum(counts).tolist()]
-            kept = starts[coarse >= threshold - slack]
-            for i in range(0, len(kept), PRUNE_RUNS):
-                # the kept 4096-runs' 64-runs not yet evaluated, then their points
-                fine = _subruns(kept[i:i + PRUNE_RUNS], RUNS[0], RUNS[1], hi)
-                fine, b = bound(fine[~np.isin(fine, done)], RUNS[1], floors)
-                j = _subruns(fine, RUNS[1], 1, hi)
-                found += [evaluate(j[k:k + BLOCK], floors)
-                          for k in range(0, len(j), BLOCK)]
-                bounds += b
-            results.append(found)
-            terms += sum(t for _, _, t in found)
-    split = [_first_max(side) for side in results]
+            trace = np.concatenate([acc for _, acc, _ in tmap(
+                evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)])])
+        index = int(np.argmax(trace))
+        return ScanResult(index=index, value=float(trace[index]), trace=trace,
+                          terms=q * len(lengths))
+    per, total = _PEAK[kind], int(counts.sum())
+    split, terms, bounds = [], 0, 0
+    for side in ([[(0, q)]] if ranges is None else _sides(ranges, q)):
+        hi = np.array([b for _, b in side], dtype=np.int64)
+        starts = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[0])],
+                          dtype=np.int64)
+        # the unpruned pass one window at a time; a run's bound is its own row
+        window = BOUND_SPAN // RUNS[0]
+        passes = [bound(starts[i:i + window], RUNS[0])
+                  for i in range(0, len(starts), window)]
+        coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
+        b0 = sum(b for _, b in passes)
+        # best first, ties to the smaller start
+        fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
+                        RUNS[0], RUNS[1], hi)
+        fine_bound, b1 = bound(fine, RUNS[1])
+        done = fine[np.lexsort((fine, -fine_bound))[:BEST[1]]]
+        best = evaluate(_subruns(done, RUNS[1], 1, hi))
+        found, bounds = [best], bounds + b0 + b1
+        threshold = float(best[1].max()) if len(best[1]) else NEG_INF
+        # the keep level: the rounding of the sums and of the bounds stays
+        # far below 1e-9 of the largest partial sum a survivor can reach; a
+        # -inf threshold gives an infinite slack and a -inf level, so
+        # nothing is dropped
+        level = threshold - 1e-9 * (1.0 + abs(threshold) + per * total)
+        floors = [level - per * (total - c) for c in np.cumsum(counts).tolist()]
+        kept = starts[coarse >= level]
+        for i in range(0, len(kept), PRUNE_RUNS):
+            # their 64-runs not yet evaluated, then the points of those kept
+            fine = _subruns(kept[i:i + PRUNE_RUNS], RUNS[0], RUNS[1], hi)
+            fine = fine[~np.isin(fine, done)]
+            fine_bound, b = bound(fine, RUNS[1])
+            found.append(evaluate(_subruns(fine[fine_bound >= level], RUNS[1], 1, hi),
+                                  floors))
+            bounds += b
+        split.append(_first_max(found))
+        terms += sum(t for _, _, t in found)
     best_j, best_val = min((r for r in split if r[0] is not None),
                            key=lambda r: (-r[1], r[0]))
-    trace = np.concatenate([acc for _, acc, _ in full]) if want_trace else None
-    return ScanResult(index=best_j, value=best_val, trace=trace,
-                      terms=terms, bounds=bounds,
+    return ScanResult(index=best_j, value=best_val, terms=terms, bounds=bounds,
                       split=None if ranges is None else tuple(split))
 
 
@@ -556,9 +528,6 @@ def write_trace_csv(mesh, trace):
         ),
         "j,t_float,value",
     ]
-    d = mesh.q * mesh.q * mesh.theta_den
-    qtd = mesh.q * mesh.theta_den
     for j, v in enumerate(trace.tolist()):
-        t = (j * qtd + mesh.theta_num) / d
-        lines.append(f"{j},{t!r},{'-inf' if v == NEG_INF else repr(v)}")
+        lines.append(f"{j},{mesh.point_float(j)!r},{v!r}")
     return "\n".join(lines) + "\n"

@@ -136,11 +136,7 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(
-                ["-inf" if isinstance(v, float) and v == float("-inf") else repr(v)
-                 if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(self.rows)  # a float is written as its repr
         return buf.getvalue()
 
     def write(self, outdir):

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from permfield import ratefn
 from permfield.cli import run
 from permfield.cycles import CycleCounts, read_cycles_csv, write_cycles_csv
-from permfield.errors import InvalidArgumentError
+from permfield.errors import AccuracyError, InvalidArgumentError
 from permfield.reports import ExperimentReport
 from permfield.svgplot import emit_plot
 
@@ -207,6 +208,36 @@ def test_capacity_error_exits_2(argv, limit, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and limit in err
+
+
+def test_accuracy_error_exits_2(monkeypatch, tmp_path, capsys):
+    # a quadrature that cannot certify its result is not an assertion failure
+    def uncertified(y, q):
+        raise AccuracyError(f"iid_tail(y={y!r}, q={q}): quadrature error too large")
+
+    monkeypatch.setattr(ratefn, "iid_tail", uncertified)
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"samples": 1000}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", "conditional-tail", "--config", str(cfg),
+                "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: iid_tail(")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("name, kind", [("lln", "imag"), ("imag", "real")])
+def test_scan_kind_of_the_other_experiment_exits_2(name, kind, tmp_path, capsys):
+    # lln scans the real field and imag the imaginary one: a kind that
+    # disagrees is refused before any scan, not echoed in a report
+    cfg = tmp_path / "kind.json"
+    cfg.write_text(json.dumps({"kind": kind, "replicas": 2, "n_values": [1000]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kind = {kind}: {name} scans")
+    assert not list(out.iterdir())
 
 
 def test_negative_threads_exits_2(capsys):

@@ -321,14 +321,13 @@ def test_range_scan_matches_masked_trace(case):
     mask = np.zeros(mesh.q, dtype=bool)
     for a, b in ranges:
         mask[a:b] = True
-    full = scan_max(spec, mesh, threads=1, want_trace=True, ranges=ranges)
+    full = scan_max(spec, mesh, threads=1, want_trace=True)
     expected = (_first_argmax(full.trace, mask), _first_argmax(full.trace, ~mask))
-    assert full.split == expected
     k = int(np.argmax(full.trace))
     results = [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (1, 2, 8)]
-    # prune windows of one 4096-run and 64-point blocks: the walk over the
-    # ranges of both sides crosses many windows and blocks
-    with mock.patch.multiple(field, PRUNE_RUNS=1, BLOCK=64):
+    # prune windows of one 4096-run: the walk over the ranges of both
+    # sides crosses many windows
+    with mock.patch.multiple(field, PRUNE_RUNS=1):
         results += [scan_max(spec, mesh, threads=t, ranges=ranges) for t in (2, 8)]
     for res in results:
         assert res.split == expected
@@ -349,12 +348,17 @@ def test_small_sides_are_settled_by_the_threshold_step(case, q, cut, pick):
     mesh = Mesh(q=q, theta_num=mesh.theta_num, theta_den=mesh.theta_den)
     a = int(cut * q)
     ranges = {"none": None, "head": [(0, a)], "tail": [(a, q)]}[pick]
-    full = scan_max(spec, mesh, threads=1, want_trace=True, ranges=ranges)
+    full = scan_max(spec, mesh, threads=1, want_trace=True)
     k = int(np.argmax(full.trace))
+    split = None
+    if ranges is not None:
+        mask = np.zeros(q, dtype=bool)
+        mask[slice(*ranges[0])] = True
+        split = (_first_argmax(full.trace, mask), _first_argmax(full.trace, ~mask))
     for threads in (1, 8):
         res = scan_max(spec, mesh, threads=threads, ranges=ranges)
         assert res.terms == full.terms == q * len(_lengths(spec)[0])
-        assert (res.index, res.value, res.split) == (k, float(full.trace[k]), full.split)
+        assert (res.index, res.value, res.split) == (k, float(full.trace[k]), split)
 
 
 def test_scan_work_without_ranges_is_unchanged():
@@ -374,6 +378,8 @@ def test_scan_rejects_ranges_outside_the_mesh():
     for ranges in ([(0, 11)], [(-1, 3)], [(5, 4)]):
         with pytest.raises(InvalidArgumentError):
             scan_max(spec, Mesh(q=10), ranges=ranges)
+    with pytest.raises(InvalidArgumentError):
+        scan_max(spec, Mesh(q=10), want_trace=True, ranges=[(0, 5)])
 
 
 @st.composite
@@ -416,7 +422,7 @@ def test_run_sup_bounds_dense_terms(case):
 @settings(max_examples=40, deadline=None)
 @given(case=scan_cases(), m=st.sampled_from(RUNS), rank=st.floats(0.0, 1.0))
 def test_bound_runs_keep_every_run_reaching_the_floor(case, m, rank):
-    # a run whose bound passes drop holds no point at or above the level,
+    # a run whose bound is below the level - slack holds no point at or above it,
     # including the lengths that turn a full period over the run
     spec, mesh = case
     trace = scan_max(spec, mesh, threads=1, want_trace=True).trace
@@ -428,12 +434,11 @@ def test_bound_runs_keep_every_run_reaching_the_floor(case, m, rank):
     residues = np.array([ell % q for ell in ells], dtype=np.int64)
     offsets = np.array([(ell * tn) % d for ell in ells], dtype=np.int64)
     per = math.pi / 2.0 if spec.kind == "imag" else math.log(2.0)
-    total = int(counts.sum())
-    slack = 1e-9 * (1.0 + abs(level) + per * total)
-    floors = [level - slack - per * (total - c) for c in np.cumsum(counts).tolist()]
+    slack = 1e-9 * (1.0 + abs(level) + per * int(counts.sum()))
     starts = np.arange(0, q, m, dtype=np.int64)
-    kept, bounds = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
-                               spec.kind, floors)
+    bound, bounds = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
+                                spec.kind)
+    kept = starts[bound >= level - slack]
     reached = [j0 for j0 in starts.tolist() if trace[j0:j0 + m].max() >= level]
     assert set(reached) <= set(kept.tolist())
     assert bounds <= len(starts) * len(ells)
@@ -454,14 +459,13 @@ def test_scan_bounds_thread_count_invariance(case):
 
 def test_scan_counters_do_not_depend_on_task_size(monkeypatch):
     # runs and points are bounded and dropped one by one, so the work is
-    # the same however the walk is cut into windows and blocks, at any count
+    # the same however the walk is cut into windows, at any count
     cs = sample_cycle_structure(10**5, stream(79, "tasks"))
     mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
     for kind in ("real", "imag"):
         spec = FieldSpec(counts=cs, kind=kind)
         ref = scan_max(spec, mesh, threads=1)
         monkeypatch.setattr(field, "PRUNE_RUNS", 1)
-        monkeypatch.setattr(field, "BLOCK", 64)
         for threads in (1, 2, 8):
             res = scan_max(spec, mesh, threads=threads)
             assert (res.index, res.value, res.terms, res.bounds) \

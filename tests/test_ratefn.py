@@ -254,9 +254,17 @@ def test_iid_tail_pinned_mpmath_values():
 
 def test_iid_tail_monte_carlo_oracle():
     x_crit = ratefn.solve_critical().x_crit
-    for i, (y, q) in enumerate([(x_crit, 32), (0.5, 8), (0.693, 32)]):
+    cases = [(x_crit, 32), (0.5, 8), (0.693, 32), (0.5, 10), (0.6483, 18)]
+    for i, (y, q) in enumerate(cases):
         est, se = ratefn.tilted_tail_estimate(y, q, 200000, stream(41, "iidtail", i))
         assert abs(est - ratefn.iid_tail(y, q)) <= 4 * se
+
+
+def test_iid_tail_certifies_levels_near_x_crit():
+    # levels where each quadrature piece meeting IID_TAIL_RTOL on its own
+    # sums to an error estimate just past it
+    for y in np.linspace(0.6480, 0.6487, 71):
+        assert ratefn.iid_tail(float(y), 18) > 0.0
 
 
 def test_iid_tail_domain_and_accuracy_errors():
