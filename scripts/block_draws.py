@@ -10,13 +10,15 @@ the package from its own ``src``:
 
 - ns per draw of ``experiments._block_draws`` run by
   ``experiments._monte_carlo`` on the 32 default two-point 1/ell tables
-  (the values at two points gathered as one complex array per block) and
-  on the 32 tilted conditional-tail tables at x* (one array), at 1 thread
-  and at ``nproc``;
+  (the values at two points gathered as one complex array per block), at
+  1 thread and at ``nproc``;
 - ns per draw of ``guide_index`` alone, its own time inside the 1-thread
   runs;
 - ns per term of ``field.log_abs_term_array`` over the two-point lengths;
-- ms to build the guide tables of both sets from their cumulative sums;
+- ms to build the two-point guide tables from their cumulative sums;
+- ms of the default ``conditional-tail`` run and, in a tree that brackets
+  its tail exactly, of ``experiments._block_tail`` on its blocks at x*,
+  with the grid size K and transform length L;
 - ns per replica of the default ``occupancy`` run (10^4 replicas, 2 000
   blocks) at 1 thread and at ``nproc``, and the cycles per replica (the
   report's mean N): a sampler that places cycles does that much work per
@@ -32,6 +34,7 @@ per-workload medians, quartiles and the number of pairs the change won.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -69,59 +72,48 @@ def layers():
     lengths, guides = zip(*(cycles.one_over_ell_table(*cycles.block_bounds(k, two.rho))
                             for k in blocks))
     s, t = 0.3819660112501051, 0.7071067811865476
-    pair_vals = [(log_abs_term_array(ell, s), log_abs_term_array(ell, t)) for ell in lengths]
-    cond = experiments.default_config("conditional-tail", seed=0)
-    beta = ratefn.legendre(experiments._critical().x_crit)[1]
-    tilted = experiments._block_tables(list(range(cond.m, cond.m + cond.q)), cond.rho,
-                                       experiments.parse_torus_point("sqrt2"), beta=beta)
+    # the draw loop gathers the pair's values at s and t as one complex array
+    values = [np.empty(len(ell), complex) for ell in lengths]
+    for vals, ell in zip(values, lengths):
+        vals.real, vals.imag = log_abs_term_array(ell, s), log_abs_term_array(ell, t)
     draws = SAMPLES * len(blocks)
     out = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
            "numpy": np.__version__, "scipy": scipy.__version__,
            "draws_per_run": draws, "repeats": REPEATS}
 
-    tilted_vals = [tb["vals"] for tb in tilted]
-    # the draw loop adds one array per block into one accumulator, and
-    # gathers the pair's values at s and t as one complex array
-    pairs = [np.empty(len(ell), complex) for ell in lengths]
-    for pair, (vs, vt) in zip(pairs, pair_vals):
-        pair.real, pair.imag = vs, vt
-    pair_vals = pairs
-
-    def block_draws(tables, values, threads):
-        work = experiments._block_draws(tables, values.__getitem__,
-                                        lambda acc: float(acc.real.sum()), values[0].dtype)
+    def block_draws(threads):
+        work = experiments._block_draws(guides, values.__getitem__,
+                                        lambda acc: float(acc.real.sum()), complex)
         experiments._monte_carlo(work, SAMPLES, experiments.CHUNK, (0, "bench", "draws"),
                                  threads)
 
-    sets = {"two_point": (guides, pair_vals), "tilted": (tilted, tilted_vals)}
+    for threads in sorted({1, out["nproc"]}):
+        out[f"two_point.block_draws_ns_per_draw.threads{threads}"] = _median_ns(
+            lambda: block_draws(threads), draws)
     walk = experiments.guide_index
-    for name, (tables, values) in sets.items():
-        for threads in sorted({1, out["nproc"]}):
-            out[f"{name}.block_draws_ns_per_draw.threads{threads}"] = _median_ns(
-                lambda: block_draws(tables, values, threads), draws)
-        spent = []
+    spent = []
 
-        def timed(table, r):
-            start = time.perf_counter()
-            idx = walk(table, r)
-            spent.append(time.perf_counter() - start)
-            return idx
+    def timed(table, r):
+        start = time.perf_counter()
+        idx = walk(table, r)
+        spent.append(time.perf_counter() - start)
+        return idx
 
-        experiments.guide_index = timed
-        try:
-            per_run = []
-            for _ in range(REPEATS):
-                spent.clear()
-                block_draws(tables, values, 1)
-                per_run.append(sum(spent))
-        finally:
-            experiments.guide_index = walk
-        out[f"{name}.guide_index_ns_per_draw"] = statistics.median(per_run) / draws * 1e9
-        cums = [np.array(tb["cum"]) for tb in tables]
-        totals = [tb["total"] for tb in tables]
-        out[f"{name}.guide_table_build_ms"] = _median_ns(
-            lambda: [cycles.guide_table(c, total) for c, total in zip(cums, totals)], 1) / 1e6
-        out[f"{name}.walk"] = max(tb["walk"] for tb in tables)
+    experiments.guide_index = timed
+    try:
+        per_run = []
+        for _ in range(REPEATS):
+            spent.clear()
+            block_draws(1)
+            per_run.append(sum(spent))
+    finally:
+        experiments.guide_index = walk
+    out["two_point.guide_index_ns_per_draw"] = statistics.median(per_run) / draws * 1e9
+    cums = [np.array(tb["cum"]) for tb in guides]
+    out["two_point.guide_table_build_ms"] = _median_ns(
+        lambda: [cycles.guide_table(c, float(c[-1])) for c in cums], 1) / 1e6
+    out["two_point.walk"] = max(tb["walk"] for tb in guides)
+
     occ = experiments.default_config("occupancy", seed=0)
     for threads in sorted({1, out["nproc"]}):
         config = experiments.default_config("occupancy", seed=0, threads=threads)
@@ -132,6 +124,24 @@ def layers():
     terms = sum(len(ell) for ell in lengths)
     out["log_abs_term_array_ns_per_term"] = _median_ns(
         lambda: [log_abs_term_array(ell, s) for ell in lengths], terms)
+    cond = experiments.default_config("conditional-tail", seed=0)
+    out["conditional_tail.run_ms"] = _median_ns(
+        lambda: experiments.run_conditional_tail(cond), 1) / 1e6
+    if not hasattr(experiments, "_block_tail"):  # a tree that samples the tail
+        return out
+    y = experiments._critical().x_crit
+    beta = ratefn.legendre(y)[1]
+    tail_blocks = list(range(cond.m, cond.m + cond.q))
+    point = experiments.parse_torus_point("sqrt2")
+    out["conditional_tail.bracket_ms"] = _median_ns(
+        lambda: experiments._block_tail(tail_blocks, cond.rho, point, y, beta), 1) / 1e6
+    # K and L as _block_tail chooses them
+    h = experiments.TAIL_WIDTH / (beta * cond.q)
+    top = math.floor((ratefn.LOG2 - y) * cond.q / h)
+    g = 1.5 * beta * h
+    out["conditional_tail.bins_K"] = top
+    out["conditional_tail.transform_L"] = 1 << (
+        max(2 * top + 2, min(cond.q * top, math.ceil(48.0 / g))) - 1).bit_length()
     return out
 
 

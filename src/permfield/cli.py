@@ -238,6 +238,8 @@ def _cmd_experiment(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"--config {args.config}: not a JSON object of config keys")
     overrides.setdefault("threads", args.threads)
     config = default_config(args.name, seed=args.seed, **overrides)
     report = run_experiment(args.name, config)

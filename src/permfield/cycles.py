@@ -207,20 +207,14 @@ def guide_index(table, r):
     exactly, for uniforms r in [0, 1).
 
     Starts each r at its bucket's guide entry and steps forward while
-    cum[idx] < r * total: up to two whole-array steps, then, on a table
-    whose walk is longer, steps of the still-active indices only.
+    cum[idx] < r * total, in walk whole-array steps.
     """
     cum, guide = table["sentinel"], table["guide"]
     u = r * table["total"]
     # int(r G), exact; cast on output it makes no float temporary
     idx = guide[np.multiply(r, len(guide), out=np.empty(len(r), np.int64), casting="unsafe")]
-    for _ in range(min(table["walk"], 2)):
+    for _ in range(table["walk"]):
         idx += cum[idx] < u
-    if table["walk"] > 2:
-        active = np.flatnonzero(cum[idx] < u)
-        while active.size:
-            idx[active] += 1
-            active = active[cum[idx[active]] < u[active]]
     return np.minimum(idx, len(cum) - 2, out=idx)
 
 

@@ -7,10 +7,8 @@ byte-identical across thread counts and reruns. Monte Carlo chunks run on
 config.threads workers: the caller makes each chunk's stream (and every
 other layer call but two-point's block values, which the first worker to
 reach a block builds), a worker reduces the chunk to a few sums, and the
-caller adds those in chunk order. Block-conditioned upper tails are
-estimated by exponential tilting at the maximizing tilt with
-likelihood-ratio reweighting. The i.i.d. tail they are compared with is
-exact (ratefn.iid_tail).
+caller adds those in chunk order. Conditional-tail computes its tails, by
+FFT convolution (_block_tail) and quadrature (ratefn.iid_tail).
 """
 
 import math
@@ -32,7 +30,7 @@ from .cycles import (
     sample_cycle_structure,
     sample_poisson_counts,
 )
-from .errors import ConfigError, InvalidArgumentError
+from .errors import CapacityError, ConfigError, InvalidArgumentError
 from .field import (
     NEG_INF,
     FieldSpec,
@@ -75,6 +73,8 @@ IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 CHUNK = 1 << 16
 OCC_CHUNK = 256
 OCC_BATCH = 32  # rows per bincount inside an occupancy chunk
+TAIL_WIDTH = 0.0045  # grid of the exact tail: its default bracket is 0.45% wide
+TAIL_SPAN = 1 << 20  # block lengths per bincount of the exact tail
 
 
 def parse_torus_point(spec):
@@ -126,7 +126,6 @@ def _run_scan(config, kind):
         "witness_value",
     ]
     medians = []
-    top_ratios = None
     pointwise_ok = True
     witness_identity_ok = True
     witness_hits = 0
@@ -182,15 +181,13 @@ def _run_scan(config, kind):
         }
         report.cells.append(cell)
         medians.append((n, cell["ratio"]["median"]))
-        top_ratios = ratios
-    if medians:
-        report.series.append({
-            "name": f"median max/{'log N (imag)' if kind == 'imag' else 'log N'}",
-            "x": [float(n) for n, _ in medians],
-            "y": [m for _, m in medians],
-        })
-    top_n = medians[-1][0] if medians else 0
-    med = medians[-1][1] if medians else float("nan")
+    # the last cell has N >= 2 (checked above): medians[-1] and ratios are its
+    report.series.append({
+        "name": f"median max/{'log N (imag)' if kind == 'imag' else 'log N'}",
+        "x": [float(n) for n, _ in medians],
+        "y": [m for _, m in medians],
+    })
+    top_n, med = medians[-1]
     if kind == "imag":
         lo, hi = IMAG_BRACKET
         report.add_verdict(
@@ -214,8 +211,7 @@ def _run_scan(config, kind):
         report.add_verdict(
             "median-bracket-top-n", LLN_BRACKET[0] < med < LLN_BRACKET[1],
             f"median ratio {med:.4f} at N={top_n} in ({LLN_BRACKET[0]}, log2)")
-        frac_band = (np.mean([LLN_PILOT_BAND[0] < v < LLN_PILOT_BAND[1]
-                              for v in top_ratios]) if top_ratios else 0.0)
+        frac_band = np.mean([LLN_PILOT_BAND[0] < v < LLN_PILOT_BAND[1] for v in ratios])
         report.add_verdict(
             "pilot-band-top-n", frac_band >= 0.9,
             f"ratio within the recorded pilot band {LLN_PILOT_BAND} for "
@@ -326,30 +322,6 @@ def run_clt_check(config):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _block_tables(blocks, rho, t, beta):
-    """Per-block lengths, term values at t, and guide tables of the tilted pmf.
-
-    The pmf is proportional to e^{beta V} / ell; its weights
-    e^{beta (V - max V)} / ell are finite at any tilt, and log_phi holds the
-    log normalizer beta max V + log(total / rho_k). Returns a list of dicts
-    with the keys of cycles.guide_table plus "lengths", "vals", "log_phi".
-    """
-    tables = []
-    for k in blocks:
-        a, b = block_bounds(k, rho)
-        lengths = np.arange(a, b, dtype=np.int64)
-        vals = log_abs_term_array(lengths, float(t))
-        top = float(vals.max(initial=NEG_INF))
-        if top == NEG_INF:
-            raise ConfigError(f"block k={k} = [{a}, {b}) has no length where "
-                              f"the field at t={t} is finite: the tilt has no mass")
-        w = np.exp(beta * (vals - top)) / lengths
-        table = guide_table(np.cumsum(w), float(w.sum()))
-        log_phi = beta * top + math.log(table["total"] / block_mean(k, rho))
-        tables.append(dict(table, lengths=lengths, vals=vals, log_phi=log_phi))
-    return tables
-
-
 def _monte_carlo(work, total, size, seed_args, threads):
     """work(n, rng) of each chunk of total on `threads` workers, in chunk order.
 
@@ -362,7 +334,7 @@ def _monte_carlo(work, total, size, seed_args, threads):
         return list(chunk_map(lambda task: work(*task), tasks))
 
 
-def _block_draws(tables, values, reduce, dtype=float):
+def _block_draws(tables, values, reduce, dtype):
     """work(n, rng) for _monte_carlo: reduce(acc) of n draws from every block.
 
     The guide walk maps each uniform r to exactly the clipped searchsorted
@@ -393,20 +365,64 @@ def _block_range(name, config):
     return list(range(config.m, config.m + config.q))
 
 
+def _block_tail(blocks, rho, t, y, beta):
+    """(lower, upper) around P(sum of the blocks' values at t >= y q), exact up to a grid.
+
+    Bins j = floor(D / h) of the deficits D = log 2 - V >= 0, h = TAIL_WIDTH / (beta q),
+    give P(sum j <= K - q) <= P <= P(sum j <= K), K = floor((log 2 - y) q / h); bins
+    past K never count. The blocks' pmfs of j, tilted by e^{-g j} (g = 1.5 beta h) to
+    lift the sums near K above the rounding, multiply as real FFTs of length L: a sum
+    wrapped past L adds at most e^{-g L} times the kept mass, taken off the lower end.
+    Each bin is within 8 (q + 1) log2(L) eps M of the truth, M = acc[0] the tilted
+    mass: q + 1 transforms of values >= 0 at 7 eps log2(L) of their 2-norm (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, Thm 24.2) and q - 1 products at
+    3 eps. notes/decisions.md has the argument, and why 1.5.
+    """
+    q = len(blocks)
+    h = TAIL_WIDTH / (beta * q)
+    top = math.floor((ratefn.LOG2 - y) * q / h)
+    if top > 1 << 22:
+        raise CapacityError(f"q = {q}, y = {y!r}: K = {top} bins pass the exact tail's 2^22")
+    g = 1.5 * beta * h
+    tilt = np.exp(-g * np.arange(top + 1))
+    size = 1 << (max(2 * top + 2, min(q * top, math.ceil(48.0 / g))) - 1).bit_length()
+    acc, mass = np.ones(size // 2 + 1, complex), 1.0
+    for k in blocks:
+        a, b = block_bounds(k, rho)
+        if b <= a:
+            raise ConfigError(f"block k={k} = [{a}, {b}) has no length")
+        pmf = np.zeros(top + 1)
+        for start in range(a, b, TAIL_SPAN):
+            lengths = np.arange(start, min(start + TAIL_SPAN, b), dtype=np.int64)
+            j = np.floor((ratefn.LOG2 - log_abs_term_array(lengths, float(t))) / h)
+            keep = j <= top  # a singular length has D = +inf
+            pmf += np.bincount(j[keep].astype(np.int64), 1.0 / lengths[keep], top + 1)
+        pmf /= block_mean(k, rho)
+        mass *= pmf.sum()
+        acc *= np.fft.rfft(pmf * tilt, size)
+    vals = np.fft.irfft(acc, size)[:top + 1] / tilt
+    spread = 8.0 * (q + 1) * math.log2(size) * np.finfo(float).eps * acc[0].real
+    wrap = math.exp(-g * size) * mass if size <= q * top else 0.0
+    low = max(top - q + 1, 0)
+    lower = vals[:low].sum() - spread * math.expm1(g * low) / math.expm1(g) - wrap
+    upper = vals.sum() + spread * math.expm1(g * (top + 1)) / math.expm1(g)
+    return max(float(lower), 0.0), float(upper)
+
+
 def run_conditional_tail(config):
     """Three values of the upper tail at level y*q.
 
-    (a) Monte Carlo of the conditioned field by tilted importance sampling,
-    (b) the exact i.i.d. tail, (c) the sharp analytic asymptotic. Asserts
-    (b)/(c) and (a)/(b) ratios.
+    (a) the block-conditioned tail, bracketed by _block_tail, (b) the exact
+    i.i.d. tail, (c) the sharp analytic asymptotic. Asserts (b)/(c) and (a)/(b).
     """
+    resolve_threads(config.threads)  # refuse a bad count, as every experiment does
     name = config.name or "conditional-tail"
     blocks = _block_range(name, config)
     t = parse_torus_point(config.t or "sqrt2")
     y = config.y or _critical().x_crit
     q, rho, m = config.q, config.rho, config.m
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
-    report.columns = ["estimator", "chunk", "samples", "sum_w", "sum_w2", "hits"]
+    report.columns = ["estimator", "lower", "upper"]
 
     kappa_check = config.kappa or math.exp(-rho * m / 2.0)
     if not config.kappa and not 0.0 < kappa_check < 0.5:
@@ -434,51 +450,30 @@ def run_conditional_tail(config):
 
     _, beta = ratefn.legendre(y)
     predicted = ratefn.bahadur_rao_tail(y, q)
-    threshold = y * q
     report.notes.append(
-        f"y={y!r} beta={beta!r} predicted={predicted!r} method=tilted-importance")
+        f"y={y!r} beta={beta!r} predicted={predicted!r} method=exact-convolution")
 
-    # (a) block-conditioned estimate: the blocks are drawn tilted by
-    # e^{beta V} and each hit carries its likelihood ratio
-    tables = _block_tables(blocks, rho, t, beta)
-    log_phi_sum = sum(tb["log_phi"] for tb in tables)
-
-    def weights(sums):
-        w = np.where(sums >= threshold, np.exp(-beta * sums + log_phi_sum), 0.0)
-        return sums.size, float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
-
-    parts = _monte_carlo(_block_draws(tables, lambda i: tables[i]["vals"], weights),
-                         config.samples, CHUNK, (config.seed, name, "block"),
-                         config.threads)
-    total_w = total_w2 = 0.0
-    hits = 0
-    for chunk_idx, (size, sum_w, sum_w2, nonzero) in enumerate(parts):
-        total_w += sum_w
-        total_w2 += sum_w2
-        hits += nonzero
-        report.rows.append(["block-conditioned", chunk_idx, size, sum_w, sum_w2, hits])
-    est_a = total_w / config.samples
-    se_a = math.sqrt(max(total_w2 / config.samples - est_a * est_a, 0.0) / config.samples)
-
+    lower, upper = _block_tail(blocks, rho, t, y, beta)
+    est_a = 0.5 * (lower + upper)
     est_b = ratefn.iid_tail(y, q)
-    report.cells.append({"estimator": "block-conditioned", "estimate": est_a,
-                         "stderr": se_a, "blocks": [int(b) for b in blocks[:4]] +
-                         ["..."], "first_block_start": block_bounds(m, rho)[0]})
+    report.cells.append({"estimator": "block-conditioned", "estimate": est_a, "lower": lower,
+                         "upper": upper, "blocks": [int(b) for b in blocks[:4]] + ["..."],
+                         "first_block_start": block_bounds(m, rho)[0]})
     report.cells.append({"estimator": "iid-exact", "estimate": est_b})
     report.cells.append({"estimator": "bahadur-rao", "estimate": predicted})
-    report.series.append({
-        "name": "tail-estimates", "x": [1.0, 2.0, 3.0],
-        "y": [est_a, est_b, predicted],
-    })
+    report.rows = [["block-conditioned", lower, upper], ["iid-exact", est_b, est_b],
+                   ["bahadur-rao", predicted, predicted]]
+    report.series.append({"name": "tail-estimates", "x": [1.0, 2.0, 3.0],
+                          "y": [est_a, est_b, predicted]})
 
     ratio_bc = est_b / predicted if predicted > 0 else float("inf")
     report.add_verdict(
         "iid-vs-bahadur-rao", (2.0 / 3.0 <= ratio_bc <= 1.5) or major,
         f"(b)/(c) = {ratio_bc:.4f}", warning=major)
-    ratio_ab = est_a / est_b if est_b > 0 else float("inf")
+    low_ab, high_ab = (v / est_b if est_b > 0 else math.inf for v in (lower, upper))
     report.add_verdict(
-        "conditioned-vs-iid", (0.5 <= ratio_ab <= 2.0) or major,
-        f"(a)/(b) = {ratio_ab:.4f}", warning=major)
+        "conditioned-vs-iid", (0.5 <= low_ab and high_ab <= 2.0) or major,
+        f"(a)/(b) in [{low_ab:.4f}, {high_ab:.4f}]", warning=major)
     return report
 
 
@@ -766,8 +761,7 @@ _DEFAULTS = {
     "lln": dict(n_values=(1000, 10000, 100000, 1000000), replicas=20),
     "imag": dict(n_values=(1000000,), replicas=20, kind="imag"),
     "clt": dict(n_values=(1000000,), replicas=2000, t="golden"),
-    "conditional-tail": dict(rho=0.05, m=185, q=32, t="sqrt2", xi0=32,
-                             samples=1000000),
+    "conditional-tail": dict(rho=0.05, m=185, q=32, t="sqrt2", xi0=32),
     "two-point": dict(rho=0.05, m=230, q=32, xi0=4, samples=100000),
     "arc-profile": dict(n_values=(100000,), replicas=200, xi0=5, alpha=0.3),
     "occupancy": dict(rho=0.1, m=200, n_blocks=2000, replicas=10000),

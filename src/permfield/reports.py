@@ -44,8 +44,18 @@ class ExperimentConfig:
     samples: int = 1000000
     threads: int = 0  # 0 -> PERMFIELD_THREADS or cpu count; not echoed
 
+    # per field type: the exact types (so no bool) a value may take, and their name
+    _TAKES = {int: ((int,), "an int"), float: ((int, float), "a number"),
+              str: ((str,), "a string"), tuple: ((list, tuple), "a list of ints")}
+
     def __post_init__(self):
-        self.n_values = tuple(int(v) for v in self.n_values)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, kind = self._TAKES[f.type]
+            if type(value) not in types or (
+                    f.type is tuple and any(type(v) is not int for v in value)):
+                raise ConfigError(f"config key {f.name!r} = {value!r}: expected {kind}")
+        self.n_values = tuple(self.n_values)
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.samples < 1:

@@ -152,6 +152,30 @@ def test_occupancy_config_out_of_domain_exits_2(overrides, limit, tmp_path, caps
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("config, key", [
+    ([], "--config"),
+    ({"replicas": "5"}, "'replicas'"),
+    ({"n_values": 1000}, "'n_values'"),
+    ({"n_values": [1000, 2.5e3]}, "'n_values'"),
+    ({"replicas": 2.5}, "'replicas'"),
+    ({"samples": True}, "'samples'"),
+    ({"rho": "0.1"}, "'rho'"),
+    ({"t": 0.5}, "'t'"),
+], ids=["list", "str-int", "int-list", "float-in-list", "float-int", "bool-int", "str-float",
+        "float-str"])
+def test_malformed_config_exits_2(config, key, tmp_path, capsys):
+    # a value of the wrong JSON type is refused with its key named, not
+    # left to fail (or pass) somewhere inside the run
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", "occupancy", "--config", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("name, overrides, limit", [
     ("two-point", {"q": 0, "y": 0.25}, "q = 0: two-point needs q >= 1"),
     ("two-point", {"rho": 0}, "rho = 0: two-point needs rho > 0"),
@@ -247,7 +271,7 @@ def test_negative_threads_exits_2(capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("name", ["lln", "occupancy", "clt"])
+@pytest.mark.parametrize("name", ["lln", "occupancy", "clt", "conditional-tail"])
 def test_bad_thread_variable_exits_2(name, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("PERMFIELD_THREADS", "abc")
     cfg = tmp_path / "small.json"

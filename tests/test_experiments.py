@@ -165,7 +165,7 @@ def test_clt_check_rational_point_degenerate():
 
 
 def test_conditional_tail_small():
-    cfg = default_config("conditional-tail", seed=1, samples=150000)
+    cfg = default_config("conditional-tail", seed=1)
     report = run_conditional_tail(cfg)
     assert report.passed
     cells = {c["estimator"]: c for c in report.cells}
@@ -174,20 +174,58 @@ def test_conditional_tail_small():
     c = cells["bahadur-rao"]["estimate"]
     assert 0.5 <= a / b <= 2.0
     assert 2 / 3 <= b / c <= 1.5
-    # the raw rows recompute the block-conditioned estimate
-    rows_a = [r for r in report.rows if r[0] == "block-conditioned"]
-    est = sum(r[3] for r in rows_a) / sum(r[2] for r in rows_a)
-    assert est == pytest.approx(a, rel=1e-12)
+    # one row per estimator: (a)'s bracket, around its midpoint estimate,
+    # and the exact (b) and asymptotic (c) as points
+    assert report.columns == ["estimator", "lower", "upper"]
+    assert report.rows == [
+        ["block-conditioned", cells["block-conditioned"]["lower"],
+         cells["block-conditioned"]["upper"]],
+        ["iid-exact", b, b], ["bahadur-rao", c, c]]
+    lower, upper = report.rows[0][1:]
+    assert 0.0 < lower <= a <= upper
+    assert a == 0.5 * (lower + upper)
+    # the grid TAIL_WIDTH = 0.0045 keeps the default bracket under 0.5% wide
+    assert upper - lower <= 0.005 * lower
+
+
+def _enumerated_tail(q, m, t, y, rho=0.05):
+    """P(sum of the q blocks' values at t >= y q), summed over every tuple of lengths."""
+    sums, probs = np.zeros(1), np.ones(1)
+    for k in range(m, m + q):
+        lengths = np.arange(*block_bounds(k, rho), dtype=np.int64)
+        sums = np.add.outer(sums, log_abs_term_array(lengths, t)).ravel()
+        probs = np.multiply.outer(probs, 1.0 / lengths / block_mean(k, rho)).ravel()
+    return float(probs[sums >= y * q].sum())
+
+
+@pytest.mark.parametrize("q,m,t,y,zero", [
+    (2, 90, "sqrt2", 0.4, False),
+    (2, 90, "sqrt2", 0.6704, True),  # just above the largest sum, 0.67035 q
+    (3, 60, "sqrt2", 0.2, False),  # one length per block: P = 1
+    (3, 80, "sqrt2", 0.6094, True),  # just above the largest sum, 0.60930 q
+    (3, 80, "1/3", 0.4, False),  # singular lengths: D = +inf, never kept
+    (3, 80, "1/3", 0.5494, True),
+    (4, 70, "golden", 0.4, True),  # no block has a kept bin
+    (4, 90, "sqrt2", 0.673, False),  # just below the largest sum, 0.67397 q
+    (5, 85, "sqrt2", 0.1, False),
+    (5, 85, "sqrt2", 0.6638, False),
+])
+def test_conditional_tail_bracket_contains_the_enumerated_tail(q, m, t, y, zero):
+    # every tuple of block lengths, up to 960 of them, weighted by its
+    # probability: the exact tail of the very values the bracket bins
+    exact = _enumerated_tail(q, m, float(parse_torus_point(t)), y)
+    assert (exact == 0.0) == zero
+    cfg = default_config("conditional-tail", q=q, m=m, t=t, y=y)
+    cell = run_conditional_tail(cfg).cells[0]
+    assert cell["lower"] <= exact <= cell["upper"]
 
 
 def test_conditional_tail_tilted_estimate_matches_a_bruteforce_count():
-    # a common event (predicted 0.35): hits of the untilted block-conditioned
-    # law, each block drawn by searchsorted on its 1/ell table, counted here;
-    # the tilted estimate must lie within 4 combined standard errors
-    cfg = default_config("conditional-tail", seed=3, samples=60000, y=0.25, q=8)
-    report = run_conditional_tail(cfg)
-    assert "method=tilted-importance" in report.notes[0]
-    cell = {c["estimator"]: c for c in report.cells}["block-conditioned"]
+    # a common event (predicted 0.35): hits of the block-conditioned law,
+    # each block drawn by searchsorted on its 1/ell table, counted here; the
+    # count must lie in the bracket widened by 4 of its standard errors
+    cfg = default_config("conditional-tail", seed=3, y=0.25, q=8)
+    cell = run_conditional_tail(cfg).cells[0]
     n, t = 60000, float(parse_torus_point("sqrt2"))
     rng = stream(3, "oracle")
     sums = np.zeros(n)
@@ -198,25 +236,33 @@ def test_conditional_tail_tilted_estimate_matches_a_bruteforce_count():
     p = np.count_nonzero(sums >= 0.25 * 8) / n
     assert 0.2 < p < 0.5
     se = math.sqrt(p * (1.0 - p) / n)
-    assert abs(cell["estimate"] - p) <= 4.0 * math.sqrt(cell["stderr"] ** 2 + se ** 2)
+    assert cell["lower"] - 4.0 * se <= p <= cell["upper"] + 4.0 * se
 
 
 def test_conditional_tail_quadrature_oracle_q1():
     # q = 1, small y: P(V >= y) = 1 - 2 arcsin(e^y/2)/pi
     y = 0.3
-    cfg = default_config("conditional-tail", seed=7, samples=200000, y=y, q=1,
-                         m=400)
+    cfg = default_config("conditional-tail", seed=7, y=y, q=1, m=400)
     report = run_conditional_tail(cfg)
     cells = {c["estimator"]: c for c in report.cells}
     exact = 1.0 - 2.0 * math.asin(math.exp(y) / 2.0) / math.pi
     assert cells["block-conditioned"]["estimate"] == pytest.approx(exact, rel=0.05)
     assert cells["iid-exact"]["estimate"] == pytest.approx(exact, rel=0.05)
+    # and the exact finite sum over the block's 25 million lengths, in chunks
+    a, b = block_bounds(cfg.m, cfg.rho)
+    hits = 0.0
+    for start in range(a, b, 1 << 20):
+        lengths = np.arange(start, min(start + (1 << 20), b), dtype=np.int64)
+        kept = log_abs_term_array(lengths, experiments.SQRT2) >= y
+        hits += float((1.0 / lengths[kept]).sum())
+    cell = cells["block-conditioned"]
+    assert cell["lower"] <= hits / block_mean(cfg.m, cfg.rho) <= cell["upper"]
 
 
 def test_conditional_tail_tilt_without_overflow():
-    # beta = 3397 at y = 0.693: e^{beta V} overflows unless the weights are
-    # shifted by max V, which used to make (a) exactly 0.0
-    cfg = default_config("conditional-tail", seed=1, samples=20000, y=0.693)
+    # beta = 3397 at y = 0.693: a tail of 2e-54, far below the rounding of
+    # untilted transforms of mass 1, and an untilt factor of e^{1.5 beta c}
+    cfg = default_config("conditional-tail", seed=1, y=0.693)
     cells = {c["estimator"]: c for c in run_conditional_tail(cfg).cells}
     a = cells["block-conditioned"]["estimate"]
     assert math.isfinite(a) and a > 0.0
@@ -262,8 +308,8 @@ def test_two_point_refuses_an_empty_block():
 
 
 def test_tilted_conditional_tail_refuses_an_empty_block():
-    # the tilted tables take their lengths from the block bounds directly
-    cfg = default_config("conditional-tail", seed=1, m=1, kappa=0.01, samples=1000)
+    # the exact tail takes its lengths from the block bounds directly
+    cfg = default_config("conditional-tail", seed=1, m=1, kappa=0.01)
     with pytest.raises(ConfigError, match=r"block k=1 = \[2, 2\) has no length"):
         run_conditional_tail(cfg)
 
@@ -333,8 +379,8 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
 
 
 def test_guide_walk_longer_than_two_steps():
-    # 100 tiny weights share the bucket of the first heavy one: the walk
-    # outruns the two whole-array steps and the active-set loop finishes it
+    # 100 tiny weights share the bucket of the first heavy one: a walk of
+    # 101 whole-array steps
     w = np.array([1.0] + [1e-12] * 100 + [1.0, 0.5])
     table = guide_table(np.cumsum(w), float(w.sum()))
     assert table["walk"] > 2
@@ -342,12 +388,6 @@ def test_guide_walk_longer_than_two_steps():
                         np.nextafter(np.arange(1, 257) / 256, 0.0)])
     expected = np.searchsorted(table["cum"], r * table["total"], side="left")
     assert np.array_equal(guide_index(table, r), expected)
-    # the tilted conditional-tail tables take that loop too
-    cfg = default_config("conditional-tail", seed=0)
-    beta = ratefn.legendre(_critical().x_crit)[1]
-    tables = experiments._block_tables(range(cfg.m, cfg.m + cfg.q), cfg.rho,
-                                       parse_torus_point("sqrt2"), beta=beta)
-    assert max(tb["walk"] for tb in tables) > 2
 
 
 def test_calibrate_level_solves_exact_tail():
@@ -458,8 +498,6 @@ def test_reports_thread_count_invariant_and_schema(name, overrides):
 
 
 @pytest.mark.parametrize("name,overrides,chunks", [
-    ("conditional-tail", dict(samples=4500), 5),  # tilted at x*
-    ("conditional-tail", dict(samples=4500, y=0.3), 5),  # tilted: predicted 1.9e-2
     ("two-point", dict(samples=2500, y=0.25), None),
     ("occupancy", dict(replicas=300), 5),
 ])
@@ -475,12 +513,10 @@ def test_reports_thread_count_invariant_across_chunks(monkeypatch, name, overrid
     assert len({r.csv_text() for r in reports}) == 1
     if chunks is not None:
         assert len(reports[0].rows) == chunks
-    if name == "conditional-tail":
-        assert "method=tilted-importance" in reports[0].notes[0]
 
 
 @pytest.mark.parametrize("name,overrides,hashes", [
-    ("conditional-tail", dict(samples=30000), ("7b1aa0d6", "b8729627")),
+    ("conditional-tail", dict(samples=30000), ("edc1b6a8", "ca820f6c")),
     ("two-point", dict(samples=10000, y=0.25), ("1baf1a90", "cb2ba868")),
     ("occupancy", dict(replicas=500), ("1c1fcd84", "f701cd17")),
 ])
@@ -584,11 +620,7 @@ def test_two_point_builds_each_block_once_per_pair(monkeypatch):
     assert next(calls) == 2 * cfg.q * 12  # s and t, every block, 12 pairs
 
 
-@pytest.mark.parametrize("name,overrides", [
-    ("conditional-tail", dict(samples=4000)),
-    ("two-point", dict(samples=4000, y=0.25)),
-])
-def test_worker_error_reaches_the_caller(monkeypatch, name, overrides):
+def test_worker_error_reaches_the_caller(monkeypatch):
     calls = itertools.count()
     failed_on = []
 
@@ -600,8 +632,8 @@ def test_worker_error_reaches_the_caller(monkeypatch, name, overrides):
 
     monkeypatch.setattr(experiments, "guide_index", failing)
     monkeypatch.setattr(experiments, "CHUNK", 500)
-    cfg = default_config(name, seed=3, threads=2, **overrides)
-    error = _error_of(lambda: run_experiment(name, cfg))
+    cfg = default_config("two-point", seed=3, threads=2, samples=4000, y=0.25)
+    error = _error_of(lambda: run_two_point(cfg))
     assert isinstance(error, RuntimeError) and str(error) == "draw failed"
     assert failed_on and failed_on[0] is not threading.main_thread()
 
