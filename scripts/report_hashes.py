@@ -8,7 +8,10 @@ Each line is ``label json-sha256 csv-sha256`` (the first 8 hex digits of
 ``json_bytes()`` and of ``csv_text()``); the scan line has one hash, of the
 standard output of ``permfield scan --n 1000000 --seed 4``, and the two
 trace lines one each, of the trace CSV that ``permfield scan --n 100000
---seed 4 --trace`` writes at 1 and at 2 threads. The runs are
+--seed 4 --trace`` writes at 1 and at 2 threads. The last two lines hash
+the standard output of the rate-function layer: ``permfield constants`` and
+``permfield ratefn-table --x-min 0.05 --x-max 0.69 --steps 200`` (the
+README example, and the grid of the benchmark's analytic part). The runs are
 the reduced configurations of acceptance criterion 14 at seed 12 with 1
 and 2 threads, the default seed-1 conditional-tail, two-point and
 arc-profile reports, the default seed-4 lln and imag reports, the default
@@ -55,6 +58,13 @@ def _report_line(label, name, config):
     return f"{label} {_sha(report.json_bytes())} {_sha(report.csv_text().encode())}"
 
 
+def _stdout_line(label, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return f"{label} {_sha(out.getvalue().encode())} exit{code}"
+
+
 def main():
     for name, overrides in REDUCED.items():
         for threads in (1, 2):
@@ -67,10 +77,7 @@ def main():
     for name in SERIAL:
         print(_report_line(f"default/{name}/seed1/threads1", name,
                            default_config(name, seed=1, threads=1)), flush=True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["scan", "--n", "1000000", "--seed", "4"])
-    print(f"scan/n1000000/seed4 {_sha(out.getvalue().encode())} exit{code}")
+    print(_stdout_line("scan/n1000000/seed4", ["scan", "--n", "1000000", "--seed", "4"]))
     with tempfile.TemporaryDirectory() as tmp:
         for threads in (1, 2):
             path = os.path.join(tmp, f"trace{threads}.csv")
@@ -80,6 +87,10 @@ def main():
             with open(path, "rb") as fh:
                 print(f"scan-trace/n100000/seed4/threads{threads} {_sha(fh.read())} "
                       f"exit{code}", flush=True)
+    print(_stdout_line("constants", ["constants"]))
+    print(_stdout_line("ratefn-table/x0.05-0.69/steps200",
+                       ["ratefn-table", "--x-min", "0.05", "--x-max", "0.69", "--steps", "200"]),
+          flush=True)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ phi over one geometric length block along the orbit (ell t)_ell, the
 single-block conditional Laplace transform of the field.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ def phi(z, u):
 def phi_hat(z, xi):
     """Fourier coefficient of phi_z at integer frequency xi.
 
-    Requires Re z >= 0.5. Closed form, even in xi:
+    Requires Re z >= 0.5 and z finite. Closed form, even in xi:
     hat(phi)_z(xi) = (-1)^xi Gamma(z+1) / (Gamma(1+z/2+xi) Gamma(1+z/2-xi)).
     For |xi| above both DIRECT_XI_MAX and Re z/2 the reflection formula gives
     -(sin(pi z/2)/pi) Gamma(z+1) Gamma(|xi|-z/2) / Gamma(|xi|+1+z/2), the
@@ -57,8 +58,8 @@ def phi_hat(z, xi):
     |xi| > z/2. Real z is evaluated in real arithmetic (imaginary part 0).
     """
     zc = complex(z)
-    if zc.real < 0.5:
-        raise DomainError(f"Re z must be >= 0.5, got {z}")
+    if not (zc.real >= 0.5 and cmath.isfinite(zc)):
+        raise DomainError(f"Re z must be >= 0.5 and z finite, got {z}")
     zz = zc if zc.imag != 0.0 else zc.real
     m = abs(int(xi))
     if zc.imag == 0.0 and zz % 2.0 == 0.0 and m > zz / 2.0:
@@ -115,8 +116,8 @@ def log_average(beta, t, k, rho):
     approximation); equals the conditional Laplace transform of the
     single-cycle block field at tilt beta.
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     a, b = block_bounds(k, rho)
     lengths, _ = one_over_ell_table(a, b)
     if isinstance(t, Fraction):

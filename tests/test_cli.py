@@ -104,6 +104,15 @@ def test_fourier_dump(capsys):
     assert abs(table[3]) < 1e-9
 
 
+@pytest.mark.parametrize("args", [["--beta", "nan"], ["--beta", "inf"],
+                                  ["--beta", "2", "--tau", "nan"]])
+def test_fourier_dump_non_finite_exits_2(args, capsys):
+    assert run(["fourier", "dump", *args, "--xi-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Re z must be >= 0.5 and z finite")
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     code = run(["experiment", "occupancy", "--seed", "5", "--out-dir",
                 str(tmp_path), "--svg", "--config", "-"]) if False else run(

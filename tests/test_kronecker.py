@@ -95,6 +95,9 @@ def test_phi_hat_exact_zeros_at_even_integers():
 def test_phi_hat_domain():
     with pytest.raises(DomainError):
         phi_hat(0.2, 1)
+    for z in (math.nan, math.inf, complex(1.0, math.nan), complex(2.0, math.inf)):
+        with pytest.raises(DomainError, match="finite, got"):
+            phi_hat(z, 3)
 
 
 def test_decay_envelope_slopes():
@@ -191,6 +194,9 @@ def test_log_average_errors():
         log_average(2.0, 0.3, 1, 0.05)  # empty block
     with pytest.raises(DomainError):
         log_average(0.0, 0.3, 38, 0.05)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite, got"):
+            log_average(beta, 0.3, 38, 0.05)
 
 
 def test_equidistribution_along_kronecker_orbits():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from permfield import ratefn
 from permfield.errors import AccuracyError, DomainError
@@ -57,6 +57,50 @@ def test_derivatives_match_finite_differences():
         ) / h**2
         assert abs(d1 - fd1) < 1e-6
         assert abs(d2 - fd2) < 1e-4
+
+
+def _deriv_grid():
+    # a log-spaced grid over [1e-6, 1e7], the critical tilt and the tilt of
+    # y = 0.693 (beta ~ 3397)
+    return ([float(b) for b in np.geomspace(1e-6, 1e7, 27)]
+            + [ratefn.solve_critical().beta_crit, 3397.0])
+
+
+def test_log_mgf_derivs_trigamma_bits_equal_polygamma():
+    # reference: d2 through scipy's trigamma, polygamma(1, x), which returns
+    # 1.0 * 1.0 * zeta(2, x)
+    for b in _deriv_grid():
+        reference = 0.25 * (special.polygamma(1, (b + 1) / 2) - special.polygamma(1, b / 2 + 1))
+        assert ratefn.log_mgf_derivs(b)[1] == float(reference), b
+
+
+def test_log_mgf_derivs_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for b in _deriv_grid():
+            d1, d2 = ratefn.log_mgf_derivs(b)
+            w = mpmath.mpf(b)
+            exact1 = mpmath.log(2) + (mpmath.digamma((w + 1) / 2) - mpmath.digamma(w / 2 + 1)) / 2
+            exact2 = (mpmath.psi(1, (w + 1) / 2) - mpmath.psi(1, w / 2 + 1)) / 4
+            assert abs(mpmath.mpf(d1) - exact1) <= 2e-15, b
+            # zeta(2, a) - zeta(2, a + 1/2) cancels about log10(beta) digits
+            # (4e-10 relative at beta = 1e7)
+            assert abs(mpmath.mpf(d2) - exact2) <= max(1e-14, 4e-16 * b) * exact2, b
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: ratefn.log_mgf(v),
+    lambda v: ratefn.log_mgf(complex(1.0, v)),
+    lambda v: ratefn.log_mgf(complex(v, 1.0)),
+    lambda v: ratefn.log_mgf_quad(v),
+    lambda v: ratefn.log_mgf_derivs(v),
+    lambda v: ratefn.sample_tilted_v(v, stream(13, "nonfinite")),
+], ids=["log_mgf", "log_mgf-imag", "log_mgf-real", "log_mgf_quad", "log_mgf_derivs",
+        "sample_tilted_v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_beta_is_refused(call, value):
+    with pytest.raises(DomainError, match=r"finite, got .*(nan|inf)"):
+        call(value)
 
 
 def test_convexity_and_derivative_limit():
