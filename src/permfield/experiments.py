@@ -8,7 +8,8 @@ config.threads workers: the caller makes each chunk's stream (and every
 other layer call but two-point's block values, which the first worker to
 reach a block builds), a worker reduces the chunk to a few sums, and the
 caller adds those in chunk order. Conditional-tail computes its tails, by
-FFT convolution (_block_tail) and quadrature (ratefn.iid_tail).
+FFT convolution (_block_tail) and quadrature (ratefn.iid_tail); its blocks
+are transformed on config.threads workers and multiplied in block order.
 """
 
 import math
@@ -75,6 +76,7 @@ OCC_CHUNK = 256
 OCC_BATCH = 32  # rows per bincount inside an occupancy chunk
 TAIL_WIDTH = 0.0045  # grid of the exact tail: its default bracket is 0.45% wide
 TAIL_SPAN = 1 << 20  # block lengths per bincount of the exact tail
+TAIL_MAX_L = 1 << 23  # longest transform of the exact tail
 
 
 def parse_torus_point(spec):
@@ -365,7 +367,7 @@ def _block_range(name, config):
     return list(range(config.m, config.m + config.q))
 
 
-def _block_tail(blocks, rho, t, y, beta):
+def _block_tail(blocks, rho, t, y, beta, threads=None):
     """(lower, upper) around P(sum of the blocks' values at t >= y q), exact up to a grid.
 
     Bins j = floor(D / h) of the deficits D = log 2 - V >= 0, h = TAIL_WIDTH / (beta q),
@@ -373,10 +375,12 @@ def _block_tail(blocks, rho, t, y, beta):
     past K never count. The blocks' pmfs of j, tilted by e^{-g j} (g = 1.5 beta h) to
     lift the sums near K above the rounding, multiply as real FFTs of length L: a sum
     wrapped past L adds at most e^{-g L} times the kept mass, taken off the lower end.
+    While that bound passes 10^-6 of the lower end, L doubles, up to TAIL_MAX_L.
     Each bin is within 8 (q + 1) log2(L) eps M of the truth, M = acc[0] the tilted
     mass: q + 1 transforms of values >= 0 at 7 eps log2(L) of their 2-norm (Higham 2002,
     Accuracy and Stability of Numerical Algorithms, Thm 24.2) and q - 1 products at
-    3 eps. notes/decisions.md has the argument, and why 1.5.
+    3 eps. notes/decisions.md has the argument, and why 1.5. The blocks are binned
+    and transformed on `threads` workers and multiplied here in block order.
     """
     q = len(blocks)
     h = TAIL_WIDTH / (beta * q)
@@ -386,8 +390,8 @@ def _block_tail(blocks, rho, t, y, beta):
     g = 1.5 * beta * h
     tilt = np.exp(-g * np.arange(top + 1))
     size = 1 << (max(2 * top + 2, min(q * top, math.ceil(48.0 / g))) - 1).bit_length()
-    acc, mass = np.ones(size // 2 + 1, complex), 1.0
-    for k in blocks:
+
+    def spectrum(k):
         a, b = block_bounds(k, rho)
         if b <= a:
             raise ConfigError(f"block k={k} = [{a}, {b}) has no length")
@@ -398,15 +402,29 @@ def _block_tail(blocks, rho, t, y, beta):
             keep = j <= top  # a singular length has D = +inf
             pmf += np.bincount(j[keep].astype(np.int64), 1.0 / lengths[keep], top + 1)
         pmf /= block_mean(k, rho)
-        mass *= pmf.sum()
-        acc *= np.fft.rfft(pmf * tilt, size)
-    vals = np.fft.irfft(acc, size)[:top + 1] / tilt
-    spread = 8.0 * (q + 1) * math.log2(size) * np.finfo(float).eps * acc[0].real
-    wrap = math.exp(-g * size) * mass if size <= q * top else 0.0
+        mass_k = pmf.sum()
+        pmf *= tilt  # in place: one buffer fewer per worker
+        return mass_k, np.fft.rfft(pmf, size)
+
     low = max(top - q + 1, 0)
-    lower = vals[:low].sum() - spread * math.expm1(g * low) / math.expm1(g) - wrap
+    while True:
+        acc, mass = np.ones(size // 2 + 1, complex), 1.0
+        with thread_map(threads) as block_map:
+            for mass_k, spec in block_map(spectrum, blocks):
+                mass *= mass_k
+                acc *= spec
+        vals = np.fft.irfft(acc, size)[:top + 1] / tilt
+        spread = 8.0 * (q + 1) * math.log2(size) * np.finfo(float).eps * acc[0].real
+        wrap = math.exp(-g * size) * mass if size <= q * top else 0.0
+        kept = vals[:low].sum() - spread * math.expm1(g * low) / math.expm1(g)
+        if not 0.0 < kept < 1e6 * wrap:  # a longer L lifts no lower end lost to rounding
+            break
+        if size >= TAIL_MAX_L:
+            raise CapacityError(f"q = {q}, y = {y!r}: the wrap bound needs L = {2 * size} "
+                                f"points, past the exact tail's {TAIL_MAX_L}")
+        size *= 2
     upper = vals.sum() + spread * math.expm1(g * (top + 1)) / math.expm1(g)
-    return max(float(lower), 0.0), float(upper)
+    return max(float(kept - wrap), 0.0), float(upper)
 
 
 def run_conditional_tail(config):
@@ -453,7 +471,7 @@ def run_conditional_tail(config):
     report.notes.append(
         f"y={y!r} beta={beta!r} predicted={predicted!r} method=exact-convolution")
 
-    lower, upper = _block_tail(blocks, rho, t, y, beta)
+    lower, upper = _block_tail(blocks, rho, t, y, beta, config.threads)
     est_a = 0.5 * (lower + upper)
     est_b = ratefn.iid_tail(y, q)
     report.cells.append({"estimator": "block-conditioned", "estimate": est_a, "lower": lower,

@@ -216,8 +216,8 @@ def bahadur_rao_tail(y, q):
     Bahadur-Rao theorem, including the 2*pi constant). Accurate up to a
     (1 + o(1)) factor as q grows.
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise DomainError(f"q must be >= 1 and finite, got {q}")
     rate, beta = legendre(y)
     _, d2 = log_mgf_derivs(beta)
     return math.exp(-rate * q) / (beta * math.sqrt(2.0 * math.pi * d2 * q))
@@ -236,8 +236,8 @@ def iid_tail(y, q):
     integrals serve every q; AccuracyError if their error estimates sum to
     more than IID_TAIL_RTOL of the result.
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise DomainError(f"q must be >= 1 and finite, got {q}")
     rate, beta = legendre(y)
     drift = LOG2 - y
     if beta / 2.0 >= STIRLING_MIN_W:
@@ -314,8 +314,8 @@ def tilted_tail_estimate(y, q, samples, rng):
     the squared weights do not underflow before the tail does. Returns
     (estimate, standard error).
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise DomainError(f"q must be >= 1 and finite, got {q}")
     rate, beta = legendre(y)
     threshold = y * q
     batch = max(1, (1 << 22) // q)  # bounds memory: about 4M draws, 32 MB, per batch

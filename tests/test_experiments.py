@@ -22,7 +22,7 @@ from permfield.cycles import (
     one_over_ell_table,
     sample_cycle_structure,
 )
-from permfield.errors import ConfigError, InvalidArgumentError
+from permfield.errors import CapacityError, ConfigError, InvalidArgumentError
 from permfield.experiments import (
     _calibrate_level,
     _critical,
@@ -270,6 +270,45 @@ def test_conditional_tail_tilt_without_overflow():
     assert cells["iid-exact"]["estimate"] == pytest.approx(2.035e-54, rel=1e-3)
 
 
+@pytest.mark.parametrize("q", [1, 8, 32])
+def test_block_tail_is_thread_count_invariant(q):
+    # each worker bins and transforms whole blocks; the caller multiplies
+    # their spectra in block order, so every product keeps its bits
+    y = _critical().x_crit
+    beta = ratefn.legendre(y)[1]
+    args = (list(range(185, 185 + q)), 0.05, parse_torus_point("sqrt2"), y, beta)
+    one = experiments._block_tail(*args, threads=1)
+    assert 0.0 < one[0] < one[1]
+    for threads in (2, 8):
+        assert experiments._block_tail(*args, threads=threads) == one
+
+
+def test_conditional_tail_doubles_the_transform_past_its_wrap(monkeypatch):
+    # at q = 96 near log 2 the first length, 2^17 on a 16x coarser grid,
+    # wraps e^{-g L} of the kept mass, more than the lower end itself; the
+    # bracket is redone at 2^18, where the wrap is e^{-2 g L}
+    monkeypatch.setattr(experiments, "TAIL_WIDTH", 16 * experiments.TAIL_WIDTH)
+    sizes, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n: sizes.append(n) or rfft(a, n))
+    cfg = default_config("conditional-tail", seed=1, q=96, y=0.69, threads=2)
+    report = run_conditional_tail(cfg)
+    assert sizes == [1 << 17] * 96 + [1 << 18] * 96
+    lower, upper = report.rows[0][1:]
+    assert 0.0 < lower < upper < 1.1 * lower
+    assert verdict(report, "conditioned-vs-iid")["passed"]
+
+
+def test_conditional_tail_refuses_a_transform_past_its_cap(monkeypatch):
+    # the same run with the longest transform cut to 2^17: the 2^18 that
+    # the wrap bound needs is refused, and the message names it
+    monkeypatch.setattr(experiments, "TAIL_WIDTH", 16 * experiments.TAIL_WIDTH)
+    monkeypatch.setattr(experiments, "TAIL_MAX_L", 1 << 17)
+    cfg = default_config("conditional-tail", seed=1, q=96, y=0.69)
+    with pytest.raises(CapacityError, match=r"q = 96, y = 0\.69: the wrap bound needs "
+                                            r"L = 262144 points, past the exact tail's 131072"):
+        run_conditional_tail(cfg)
+
+
 def test_conditional_tail_level_above_support_is_exact_zero():
     # the summands are bounded by log 2, so at y >= log 2 the probability
     # is zero exactly, not merely small
@@ -308,10 +347,12 @@ def test_two_point_refuses_an_empty_block():
 
 
 def test_tilted_conditional_tail_refuses_an_empty_block():
-    # the exact tail takes its lengths from the block bounds directly
-    cfg = default_config("conditional-tail", seed=1, m=1, kappa=0.01)
-    with pytest.raises(ConfigError, match=r"block k=1 = \[2, 2\) has no length"):
-        run_conditional_tail(cfg)
+    # the exact tail takes its lengths from the block bounds directly; a
+    # worker's error reaches the caller with its message
+    for threads in (1, 8):
+        cfg = default_config("conditional-tail", seed=1, m=1, kappa=0.01, threads=threads)
+        with pytest.raises(ConfigError, match=r"block k=1 = \[2, 2\) has no length"):
+            run_conditional_tail(cfg)
 
 
 # at most 300 weights below 1e250: their sum stays finite; subnormal

@@ -103,6 +103,18 @@ def test_non_finite_beta_is_refused(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: ratefn.bahadur_rao_tail(0.3, q),
+    lambda q: ratefn.iid_tail(0.3, q),
+    lambda q: ratefn.tilted_tail_estimate(0.3, q, 100, stream(13, "nonfinite-q")),
+], ids=["bahadur_rao_tail", "iid_tail", "tilted_tail_estimate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_q_is_refused(call, value):
+    # a NaN q passes q < 1 and would return nan or raise AccuracyError
+    with pytest.raises(DomainError, match=r"finite, got (nan|inf)"):
+        call(value)
+
+
 def test_convexity_and_derivative_limit():
     for beta in range(1, 21):
         _, d2 = ratefn.log_mgf_derivs(float(beta))
