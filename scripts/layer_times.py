@@ -301,16 +301,15 @@ def main(argv=None):
     trees = {"change": ROOT}
     if args.parent:
         trees["parent"] = os.path.abspath(args.parent)
-    rounds, absent = _layers(trees)
     result = {"command": " ".join(["python3", "scripts/layer_times.py"] + sys.argv[1:]),
               "rounds": ROUNDS, "repeats": REPEATS,
-              "facts": {side: _facts(tree) for side, tree in trees.items()},
-              "absent": absent,
-              "layers": {side: {key: statistics.median(r[key] for r in runs)
-                                if isinstance(value, float) else value
-                                for key, value in runs[0].items()}
-                         for side, runs in rounds.items()},
-              "layer_rounds": rounds}
+              "facts": {side: _facts(tree) for side, tree in trees.items()}}
+    rounds, result["absent"] = _layers(trees)
+    result["layers"] = {side: {key: statistics.median(r[key] for r in runs)
+                               if isinstance(value, float) else value
+                               for key, value in runs[0].items()}
+                        for side, runs in rounds.items()}
+    result["layer_rounds"] = rounds
     print(json.dumps(result["layers"], indent=1), flush=True)
     if args.parent:
         result["pairs"], result["summary"] = _pairs(trees)
