@@ -7,8 +7,9 @@ Run from the repository root:
 Each group in GROUPS runs in fresh interpreters on the ``src`` of a tree:
 this checkout and, with --parent, the commit to compare with. T runs over 1
 and nproc; a time is the median of REPEATS runs. ROUNDS rounds alternate the
-trees and the group order; a figure that is not a float must read the same
-in every run. With --parent, ``perfbench/run.py --trace 0`` then runs each
+trees and the group order; the record keeps each float figure's median and
+minimum over rounds, and a figure that is not a float must read the same in
+every run. With --parent, ``perfbench/run.py --trace 0`` then runs each
 workload of BENCHMARK.json for its ``run_seconds`` over seeds 0-9 in both
 trees, alternating which goes first, and the record adds medians, quartiles
 and the pairs the change won.
@@ -30,7 +31,6 @@ from importlib.metadata import version
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 REPEATS, ROUNDS = 5, 5  # runs of a figure in one interpreter; interpreters per group and tree
-SAMPLES = 1 << 18  # draws per block in one timed two-point run: 4 chunks of CHUNK
 RATE_X, RATE_STEPS = (0.05, 0.69), 200  # perfbench's analytic grid
 TRACED_MAX = 10**7  # largest N scanned with a trace: 8 bytes per mesh point
 THREADS = sorted({1, len(os.sched_getaffinity(0))})
@@ -46,30 +46,26 @@ def _median_ns(run, count):
 
 
 def two_point():
-    """ns per draw of `_monte_carlo` on two-point's 32 default blocks at T threads and
-    of `guide_index` in it; guide-table build ms; ns per term of `log_abs_term_array`."""
+    """ns per draw of the default two-point run at its level, at T threads, and of
+    `guide_index` in it; guide-table build ms; ns per term of `log_abs_term_array`."""
     import numpy as np
     from permfield import cycles, experiments
     from permfield.field import log_abs_term_array
     two = experiments.default_config("two-point", seed=0)
+    level = experiments._calibrate_level(two.q)  # solved once, outside the timed runs
     lengths, guides = zip(*(cycles.one_over_ell_table(*cycles.block_bounds(k, two.rho))
                             for k in range(two.m, two.m + two.q)))
-    s, t = 0.3819660112501051, 0.7071067811865476
-    values = [np.empty(len(ell), complex) for ell in lengths]
-    for vals, ell in zip(values, lengths):
-        vals.real, vals.imag = log_abs_term_array(ell, s), log_abs_term_array(ell, t)
-    draws = SAMPLES * two.q
+    s = 0.3819660112501051
+
+    def run(threads):
+        return experiments.run_two_point(
+            experiments.default_config("two-point", seed=0, y=level, threads=threads))
+
+    draws = len(run(1).rows) * two.samples * two.q
     out = {"draws_per_run": draws}
-
-    def block_draws(threads):
-        work = experiments._block_draws(guides, values.__getitem__,
-                                        lambda acc: float(acc.real.sum()), complex)
-        experiments._monte_carlo(work, SAMPLES, experiments.CHUNK, (0, "bench", "draws"),
-                                 threads)
-
     for threads in THREADS:
-        out[f"two_point.block_draws_ns_per_draw.threads{threads}"] = _median_ns(
-            lambda: block_draws(threads), draws)
+        out[f"two_point.run_ns_per_draw.threads{threads}"] = _median_ns(
+            lambda: run(threads), draws)
     walk, spent, per_run = experiments.guide_index, [], []
 
     def timed(table, r):
@@ -82,7 +78,7 @@ def two_point():
     try:
         for _ in range(REPEATS):
             spent.clear()
-            block_draws(1)
+            run(1)
             per_run.append(sum(spent))
     finally:
         experiments.guide_index = walk
@@ -201,7 +197,7 @@ def peak_rss(name):
 # group -> (function, the arguments of each interpreter it runs in, the functions of
 # `experiments` it needs); an untraced scan runs on its caller's thread at any count
 GROUPS = {
-    "two_point": (two_point, [()], ("_monte_carlo", "_block_draws", "guide_index")),
+    "two_point": (two_point, [()], ("guide_index",)),
     "occupancy": (occupancy, [()], ()),
     "exact_tail": (exact_tail, [()], ("_block_tail",)),
     "rate": (rate, [()], ()),
@@ -309,6 +305,10 @@ def main(argv=None):
                                if isinstance(value, float) else value
                                for key, value in runs[0].items()}
                         for side, runs in rounds.items()}
+    result["layer_minima"] = {side: {key: min(r[key] for r in runs)
+                                     for key, value in runs[0].items()
+                                     if isinstance(value, float)}
+                              for side, runs in rounds.items()}
     result["layer_rounds"] = rounds
     print(json.dumps(result["layers"], indent=1), flush=True)
     if args.parent:

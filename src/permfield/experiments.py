@@ -3,17 +3,16 @@
 Each run_* function maps (config) -> ExperimentReport deterministically:
 replica streams derive from (seed, task label, cell, replica), chunk sizes
 are fixed constants, and aggregation follows a fixed order, so reports are
-byte-identical across thread counts and reruns. Monte Carlo chunks run on
-config.threads workers: the caller makes each chunk's stream (and every
-other layer call but two-point's block values, which the first worker to
-reach a block builds), a worker reduces the chunk to a few sums, and the
-caller adds those in chunk order. Conditional-tail computes its tails, by
-FFT convolution (_block_tail) and quadrature (ratefn.iid_tail); its blocks
-are transformed on config.threads workers and multiplied in block order.
+byte-identical across thread counts and reruns. On config.threads workers
+that share no state, occupancy reduces each Monte Carlo chunk (_chunks) to a
+few sums, which the caller adds in chunk order, and two-point runs its point
+pairs, each walking its blocks once over its own chunks. Conditional-tail
+computes its tails, by FFT convolution (_block_tail) and quadrature
+(ratefn.iid_tail); its blocks are transformed on config.threads workers and
+multiplied in block order.
 """
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,7 +79,7 @@ TAIL_MAX_L = 1 << 23  # longest transform of the exact tail
 
 
 def parse_torus_point(spec):
-    """Torus point from a string: exact "p/q", decimal, or a named irrational."""
+    """Torus point from a string: exact "p/q", finite decimal, or a named irrational."""
     text = str(spec).strip()
     if text in ("golden", "phi"):
         return GOLDEN
@@ -91,7 +90,10 @@ def parse_torus_point(spec):
         if den == 0:
             raise InvalidArgumentError(f"torus point {text!r} has denominator 0")
         return Fraction(num, den)
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"torus point {text!r} is not a finite number")
+    return value
 
 
 @lru_cache(maxsize=1)
@@ -324,38 +326,14 @@ def run_clt_check(config):
 # conditional single-cycle-per-block tails vs i.i.d. tails
 
 
-def _monte_carlo(work, total, size, seed_args, threads):
-    """work(n, rng) of each chunk of total on `threads` workers, in chunk order.
+def _chunks(total, size, seed_args):
+    """(n, rng) of each chunk of total, in chunk order.
 
     Chunk i holds n = min(size, total - i * size) samples and draws them
-    from stream(*seed_args, i), made here on the caller's thread.
+    from stream(*seed_args, i), made on the caller's thread.
     """
-    tasks = [(min(size, total - start), stream(*seed_args, i))
-             for i, start in enumerate(range(0, total, size))]
-    with thread_map(threads) as chunk_map:
-        return list(chunk_map(lambda task: work(*task), tasks))
-
-
-def _block_draws(tables, values, reduce, dtype):
-    """work(n, rng) for _monte_carlo: reduce(acc) of n draws from every block.
-
-    The guide walk maps each uniform r to exactly the clipped searchsorted
-    index of r * total in the cumulative weights. values(i), block i's
-    per-length value array, is read through those indices and added into
-    one dtype accumulator; a worker calls it after drawing block i.
-    """
-    def draw(n, rng):
-        acc = np.zeros(n, dtype)
-        for i, tb in enumerate(tables):
-            # keep idx named: freed at once inside the one-liner, each 512 KB
-            # index array (likely) lets glibc trim the heap top and fault it
-            # back in for the next block; a default 1-thread run then took
-            # 14x the minor faults (12k -> 172k) and 0.3 s more wall time
-            idx = guide_index(tb, rng.random(n))
-            acc += values(i)[idx]
-        return reduce(acc)
-
-    return draw
+    return [(min(size, total - start), stream(*seed_args, i))
+            for i, start in enumerate(range(0, total, size))]
 
 
 def _block_range(name, config):
@@ -540,37 +518,37 @@ def run_two_point(config):
 
     # the 1/ell tables do not depend on the point: one set serves every pair
     lengths, guides = zip(*(one_over_ell_table(*block_bounds(k, rho)) for k in blocks))
-    for pair_idx, (dist, s, t) in enumerate(pairs):
-        # the same drawn cycle lengths drive both points: block i's values at
-        # s and t are one complex array, built by the first chunk that
-        # reaches block i and shared with the pair's other chunks
-        built = [None] * len(blocks)
-        locks = [threading.Lock() for _ in blocks]
 
-        def values(i):
-            with locks[i]:
-                if built[i] is None:
-                    vals = np.empty(len(lengths[i]), complex)
-                    vals.real = log_abs_term_array(lengths[i], s)
-                    vals.imag = log_abs_term_array(lengths[i], t)
-                    built[i] = vals
-                return built[i]
-
-        parts = _monte_carlo(_block_draws(guides, values, pair_sums, complex),
-                             config.samples, CHUNK, (config.seed, name, "mc", pair_idx),
-                             config.threads)
-        totals = (0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        for part in parts:
-            totals = tuple(a + b for a, b in zip(totals, part))
-        hits_s, hits_t, hits_joint, sum_s, sum_t, sum_st, sum_s2, sum_t2 = totals
+    def pair_row(pair_idx):
+        dist, s, t = pairs[pair_idx]
+        chunks = _chunks(config.samples, CHUNK, (config.seed, name, "mc", pair_idx))
+        accs = [np.zeros(n, complex) for n, _ in chunks]
+        for ell, table in zip(lengths, guides):
+            # the same drawn cycle lengths drive both points: block i's values
+            # at s and t are one complex array, read by every chunk in turn
+            vals = np.empty(len(ell), complex)
+            vals.real = log_abs_term_array(ell, s)
+            vals.imag = log_abs_term_array(ell, t)
+            for (n, rng), acc in zip(chunks, accs):
+                # keep idx named: freed at once inside the one-liner, each 512 KB
+                # index array (likely) lets glibc trim the heap top and fault it
+                # back in for the next block; a default 1-thread run then took
+                # 14x the minor faults (12k -> 172k) and 0.3 s more wall time
+                idx = guide_index(table, rng.random(n))
+                acc += vals[idx]
+        # each chunk's sums, added in chunk order
+        hits_s, hits_t, hits_joint, sum_s, sum_t, sum_st, sum_s2, sum_t2 = (
+            sum(col) for col in zip(*map(pair_sums, accs)))
         nn = config.samples
         cov = sum_st / nn - (sum_s / nn) * (sum_t / nn)
         var_s = sum_s2 / nn - (sum_s / nn) ** 2
         var_t = sum_t2 / nn - (sum_t / nn) ** 2
         corr = cov / math.sqrt(max(var_s * var_t, 1e-300))
         bucket = min(pair_idx * n_buckets // n_pairs, n_buckets - 1)
-        report.rows.append([pair_idx, bucket, s, t, dist, nn, hits_s, hits_t,
-                            hits_joint, corr])
+        return [pair_idx, bucket, s, t, dist, nn, hits_s, hits_t, hits_joint, corr]
+
+    with thread_map(config.threads) as pair_map:
+        report.rows = list(pair_map(pair_row, range(n_pairs)))
 
     # degenerate diagonal cell: at s = t the joint rate IS the marginal
     # rate, so joint/product collapses to 1/p (maximal correlation)
@@ -721,8 +699,9 @@ def run_occupancy(config):
         return sz, [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
 
     sums = np.zeros(5)
-    parts = _monte_carlo(chunk_sums, config.replicas, OCC_CHUNK, (config.seed, name),
-                         config.threads)
+    with thread_map(config.threads) as chunk_map:
+        parts = list(chunk_map(lambda task: chunk_sums(*task),
+                               _chunks(config.replicas, OCC_CHUNK, (config.seed, name))))
     for chunk_idx, (sz, part) in enumerate(parts):
         sums += np.array(part)
         report.rows.append([chunk_idx, sz] + [float(v) for v in part])

@@ -235,7 +235,7 @@ def split_field(spec, w, t):
     n = spec.counts.size
     if not 2 <= w <= n:
         raise InvalidArgumentError(f"W must lie in [2, {n}], got {w}")
-    lengths, counts = spec.counts.as_arrays()
+    lengths, counts = _lengths(spec)
     low = lengths <= n // w  # the cutoff is >= 1 since w <= n
     return (_residue_sum(lengths[low], counts[low], t, spec.kind),
             _residue_sum(lengths[~low], counts[~low], t, spec.kind))

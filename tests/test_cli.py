@@ -228,6 +228,23 @@ def test_zero_denominator_exits_2(tmp_path, capsys):
         assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["inf", "nan"])
+def test_non_finite_torus_point_exits_2(text, tmp_path, capsys):
+    cycles = tmp_path / "fig.csv"
+    cycles.write_text(write_cycles_csv(CycleCounts.from_dict(100, {56: 1, 22: 1, 9: 2, 4: 1})))
+    points = tmp_path / "points.csv"
+    points.write_text(f"label,t\na,{text}\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t": text}))
+    for argv in (["eval", "--cycles", str(cycles), "--t", text],
+                 ["experiment", "conditional-tail", "--config", str(config),
+                  "--out-dir", str(tmp_path)],
+                 ["arcs", "classify", "--xi0", "3", "--kappa", "0.01", "--in", str(points)]):
+        assert run(argv) == 2, argv
+        assert f"error: torus point {text!r} is not a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("conditional-tail-*"))
+
+
 @pytest.mark.parametrize("argv, limit", [
     (["scan", "--n", "10", "--theta", f"1/{2**62}"], "int64-safe range of the scan kernel"),
     (["eval", "--t", f"1/{2**130}"], "128-bit range"),

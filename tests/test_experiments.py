@@ -409,7 +409,7 @@ def test_guide_walk_matches_searchsorted(w, seed, excess):
     edges = np.arange(buckets) / buckets  # k / G, every bucket's first uniform
     hits = cum / total  # r * total at or next to a cumulative weight
     r = np.concatenate([
-        rng.random(2000),  # the draws of _block_draws
+        rng.random(2000),  # uniform draws, as two-point's chunks make them
         [0.0, np.nextafter(1.0, 0.0)],
         edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
         hits, np.nextafter(hits, 0.0), np.nextafter(hits, 1.0),
@@ -627,7 +627,8 @@ def test_two_point_value_build_error_reaches_the_caller(monkeypatch):
     calls = itertools.count()
 
     def failing(lengths, t):
-        # two calls per block, at s and at t: call 8 builds block 5 of pair 0
+        # two calls per block, at s and at t: call 8 builds a block of one
+        # of the pairs running on the two workers
         if next(calls) == 8:
             raise RuntimeError("value build failed")
         return log_abs_term_array(lengths, t)
@@ -640,9 +641,8 @@ def test_two_point_value_build_error_reaches_the_caller(monkeypatch):
 
 
 def test_two_point_builds_each_block_once_per_pair(monkeypatch):
-    # 16 chunks per pair race for each block's values on more workers than
-    # cores, switching threads often: a lost check-then-act on the memo
-    # would build a block twice
+    # 16 chunks per pair, pairs on more workers than cores, switching
+    # threads often: every chunk of a pair reads the one build of a block
     calls = itertools.count()
 
     def counted(lengths, t):
@@ -659,6 +659,19 @@ def test_two_point_builds_each_block_once_per_pair(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert next(calls) == 2 * cfg.q * 12  # s and t, every block, 12 pairs
+
+
+def test_two_point_runs_its_pairs_on_every_worker(monkeypatch):
+    callers = set()
+
+    def recorded(lengths, t):
+        callers.add(threading.get_ident())
+        return log_abs_term_array(lengths, t)
+
+    monkeypatch.setattr(experiments, "log_abs_term_array", recorded)
+    cfg = default_config("two-point", seed=3, samples=4000, y=0.25, threads=4)
+    assert _error_of(lambda: run_two_point(cfg)) is None
+    assert len(callers) >= 3  # 12 pairs on 4 workers, not one chunk per pair
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):

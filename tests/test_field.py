@@ -92,8 +92,10 @@ def test_split_field_consistency():
         cs = sample_cycle_structure(n, rng)
         w = int(rng.integers(2, n + 1))
         t = float(rng.random())
-        low, high = split_field(FieldSpec(counts=cs), w, t)
-        total = eval_point(FieldSpec(counts=cs), t)
+        trunc = None if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+        spec = FieldSpec(counts=cs, truncation=trunc)
+        low, high = split_field(spec, w, t)
+        total = eval_point(spec, t)
         if total == NEG_INF:
             assert low + high == NEG_INF
         else:
