@@ -330,7 +330,7 @@ def _chunks(total, size, seed_args):
     """(n, rng) of each chunk of total, in chunk order.
 
     Chunk i holds n = min(size, total - i * size) samples and draws them
-    from stream(*seed_args, i), made on the caller's thread.
+    from stream(*seed_args, i), made here on the calling thread.
     """
     return [(min(size, total - start), stream(*seed_args, i))
             for i, start in enumerate(range(0, total, size))]
