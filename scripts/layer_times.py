@@ -93,17 +93,11 @@ def two_point():
 
 
 def occupancy():
-    """ns per replica of the default occupancy run at T threads; its cycles (the
-    report's mean N) and blocks per replica: what a sampler does per replica."""
+    """ms of the default occupancy run, and its blocks."""
     from permfield import experiments
-    occ = experiments.default_config("occupancy", seed=0)
-    out = {"occupancy.blocks": occ.n_blocks}
-    for threads in THREADS:
-        config = experiments.default_config("occupancy", seed=0, threads=threads)
-        out[f"occupancy.ns_per_replica.threads{threads}"] = _median_ns(
-            lambda: experiments.run_occupancy(config), occ.replicas)
-    out["occupancy.cycles_per_replica"] = experiments.run_occupancy(occ).cells[0]["mean_total"]
-    return out
+    config = experiments.default_config("occupancy", seed=0)
+    return {"occupancy.blocks": config.n_blocks,
+            "occupancy.run_ms": _median_ns(lambda: experiments.run_occupancy(config), 1) / 1e6}
 
 
 def exact_tail():

@@ -16,10 +16,12 @@ the reduced configurations of acceptance criterion 14 at seed 12 with 1
 and 2 threads, the default seed-1 conditional-tail, two-point and
 arc-profile reports, the default seed-4 lln and imag reports, the default
 seed-1 occupancy report, and the default seed-1 conditional-tail,
-two-point and occupancy reports again at 1 thread (their 16, 24 and 40
-Monte Carlo chunks run on the automatic thread count in the lines
-without a thread count). Run it on two commits and diff the outputs: a
-refactor that keeps every report prints the same lines.
+two-point and occupancy reports again at 1 thread (in the lines without a
+thread count, conditional-tail's 32 block transforms and two-point's 12
+point pairs run on the automatic thread count; occupancy computes its
+report on the calling thread at any count). Run it on two commits and
+diff the outputs: a refactor that keeps every report prints the same
+lines.
 """
 
 import contextlib

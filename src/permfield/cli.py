@@ -240,7 +240,13 @@ def _cmd_experiment(args):
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ConfigError(f"--config {args.config}: not a JSON object of config keys")
-    overrides.setdefault("threads", args.threads)
+    # the command line alone sets these keys
+    for key, flag in (("name", "the NAME argument"), ("seed", "--seed"),
+                      ("threads", "--threads")):
+        if key in overrides:
+            raise ConfigError(f"--config {args.config}: key {key!r} is set on the "
+                              f"command line; use {flag}")
+    overrides["threads"] = args.threads
     config = default_config(args.name, seed=args.seed, **overrides)
     report = run_experiment(args.name, config)
     json_path, csv_path = report.write(args.out_dir)

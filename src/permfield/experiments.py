@@ -4,12 +4,12 @@ Each run_* function maps (config) -> ExperimentReport deterministically:
 replica streams derive from (seed, task label, cell, replica), chunk sizes
 are fixed constants, and aggregation follows a fixed order, so reports are
 byte-identical across thread counts and reruns. On config.threads workers
-that share no state, occupancy reduces each Monte Carlo chunk (_chunks) to a
-few sums, which the caller adds in chunk order, and two-point runs its point
-pairs, each walking its blocks once over its own chunks. Conditional-tail
-computes its tails, by FFT convolution (_block_tail) and quadrature
-(ratefn.iid_tail); its blocks are transformed on config.threads workers and
-multiplied in block order.
+that share no state, two-point runs its point pairs, each walking its blocks
+once over its own chunks. Conditional-tail computes its tails, by FFT
+convolution (_block_tail) and quadrature (ratefn.iid_tail); its blocks are
+transformed on config.threads workers and multiplied in block order.
+Occupancy computes the exact means of the Poisson block model, block by
+block, and samples nothing.
 """
 
 import math
@@ -25,7 +25,6 @@ from .cycles import (
     block_bounds,
     block_mean,
     guide_index,
-    guide_table,
     one_over_ell_table,
     sample_cycle_structure,
     sample_poisson_counts,
@@ -71,8 +70,6 @@ LLN_PILOT_BAND = (0.40, 0.97)
 MEDIAN_TREND_SLACK = 0.04  # ~1 sd of a 20-replica cell median
 IMAG_BRACKET = (0.85 * math.pi / 2.0, 1.05 * math.pi / 2.0)
 CHUNK = 1 << 16
-OCC_CHUNK = 256
-OCC_BATCH = 32  # rows per bincount inside an occupancy chunk
 TAIL_WIDTH = 0.0045  # grid of the exact tail: its default bracket is 0.45% wide
 TAIL_SPAN = 1 << 20  # block lengths per bincount of the exact tail
 TAIL_MAX_L = 1 << 23  # longest transform of the exact tail
@@ -258,6 +255,9 @@ def run_clt_check(config):
     n = config.n_values[-1]
     if n < 2:
         raise ConfigError(f"n = {n}: the CLT scale sqrt(pi^2/12 log N) is 0 below N = 2")
+    if config.replicas < 2:
+        raise ConfigError(f"replicas = {config.replicas}: clt needs replicas >= 2 "
+                          "for a sample variance")
     norm = math.sqrt((math.pi**2 / 12.0) * math.log(n))
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
     report.columns = ["n", "replica", "value", "normalized"]
@@ -324,16 +324,6 @@ def run_clt_check(config):
 
 # ---------------------------------------------------------------------------
 # conditional single-cycle-per-block tails vs i.i.d. tails
-
-
-def _chunks(total, size, seed_args):
-    """(n, rng) of each chunk of total, in chunk order.
-
-    Chunk i holds n = min(size, total - i * size) samples and draws them
-    from stream(*seed_args, i), made here on the calling thread.
-    """
-    return [(min(size, total - start), stream(*seed_args, i))
-            for i, start in enumerate(range(0, total, size))]
 
 
 def _block_range(name, config):
@@ -483,8 +473,11 @@ def _calibrate_level(q):
     Solved on ratefn.iid_tail rather than on the Bahadur-Rao asymptotic,
     whose prefactor is about 11% high at q = 32 near this level.
     """
-    return optimize.brentq(lambda y: ratefn.iid_tail(y, q) - 1e-2,
-                           0.05, _critical().x_crit)
+    low, high = 0.05, _critical().x_crit
+    if not ratefn.iid_tail(high, q) < 1e-2 < ratefn.iid_tail(low, q):
+        raise ConfigError(f"q = {q}: no level in [0.05, x*] has an i.i.d. tail of "
+                          "10^-2 to calibrate; set y in (0, log 2)")
+    return optimize.brentq(lambda y: ratefn.iid_tail(y, q) - 1e-2, low, high)
 
 
 def run_two_point(config):
@@ -497,6 +490,11 @@ def run_two_point(config):
     name = config.name or "two-point"
     blocks = _block_range(name, config)
     q, rho, xi0 = config.q, config.rho, config.xi0
+    if config.y and not 0.0 < config.y < ratefn.LOG2:
+        # the values lie below log 2, so no draw reaches y >= log 2; below
+        # y = 0 the sums, of mean 0, nearly all do
+        raise ConfigError(f"y = {config.y!r}: two-point needs 0 < y < log 2 "
+                          "(0 calibrates the level)")
     y = config.y or _calibrate_level(q)
     threshold = y * q
     n_pairs = 12
@@ -521,7 +519,10 @@ def run_two_point(config):
 
     def pair_row(pair_idx):
         dist, s, t = pairs[pair_idx]
-        chunks = _chunks(config.samples, CHUNK, (config.seed, name, "mc", pair_idx))
+        # chunk i holds min(CHUNK, samples - i * CHUNK) draws from its own stream
+        chunks = [(min(CHUNK, config.samples - start),
+                   stream(config.seed, name, "mc", pair_idx, i))
+                  for i, start in enumerate(range(0, config.samples, CHUNK))]
         accs = [np.zeros(n, complex) for n, _ in chunks]
         for ell, table in zip(lengths, guides):
             # the same drawn cycle lengths drive both points: block i's values
@@ -597,6 +598,8 @@ def run_arc_profile(config):
     """Supremum of the Poisson field over major vs minor mesh points."""
     name = config.name or "arc-profile"
     n = config.n_values[-1]
+    if n < 2:
+        raise ConfigError(f"n = {n}: sup / log N is undefined below N = 2")
     mesh = Mesh(q=config.mesh_factor * n, theta_num=config.theta_num,
                 theta_den=config.theta_den)
     kappa = config.kappa or n ** (-config.alpha)
@@ -655,14 +658,14 @@ def run_arc_profile(config):
 
 
 def run_occupancy(config):
-    """Monte Carlo of block occupancy counts against their predicted means.
+    """Block occupancy statistics of the Poisson block model, computed exactly.
 
-    The nb block counts of a replica are independent Poisson(lambda_k),
-    which in law is a Poisson(sum lambda) total of cycles, each falling in
-    block k with probability lambda_k / sum lambda. So a replica draws its
-    total N, then places its N cycles through the guide table of the
-    cumulative lambdas: the work is the cycles drawn, not the blocks.
+    Block k's cycle count is an independent Poisson(lambda_k), lambda_k =
+    block_mean(k, rho), so E|Q1| = sum lambda e^-lambda, E|Q>=2| =
+    sum 1 - e^-lambda (1 + lambda) and E N = sum lambda. Each row holds one
+    block's terms; replicas and seed are ignored.
     """
+    resolve_threads(config.threads)  # refuse a bad count, as every experiment does
     name = config.name or "occupancy"
     rho, m, nb = config.rho, config.m, config.n_blocks
     if not rho > 0:
@@ -675,55 +678,34 @@ def run_occupancy(config):
             f"m = {m} too small: need m >= (8/rho) log(1/rho) = "
             f"{(8.0 / rho) * math.log(1.0 / rho):.1f}")
     report = ExperimentReport(name=name, seed=config.seed, config=config.echo())
-    report.columns = ["chunk", "size", "sum_q1", "sum_sq_q1", "sum_q2",
-                      "sum_tot", "sum_sq_tot"]
-    rho_vec = np.array([block_mean(k, rho) for k in range(m, n)])
-    cum = np.cumsum(rho_vec)
-    table = guide_table(cum, float(cum[-1]))
-
-    def chunk_sums(sz, rng):
-        tot = rng.poisson(table["total"], size=sz)
-        q1, q2 = np.empty(sz), np.empty(sz)
-        # each batch continues the chunk's stream, so the batches place the
-        # cycles one draw of the chunk's uniforms would; the rows' blocks are
-        # offset by row * nb and counted in one bincount
-        for start in range(0, sz, OCC_BATCH):
-            rows = tot[start:start + OCC_BATCH]
-            blocks = guide_index(table, rng.random(int(rows.sum())))
-            blocks += np.repeat(np.arange(0, len(rows) * nb, nb), rows)
-            cnt = np.bincount(blocks, minlength=len(rows) * nb).reshape(len(rows), nb)
-            q1[start:start + len(rows)] = (cnt == 1).sum(axis=1)
-            q2[start:start + len(rows)] = (cnt >= 2).sum(axis=1)
-        # every sum is an integer below 2^53
-        tot = tot.astype(float)
-        return sz, [q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
-
-    sums = np.zeros(5)
-    with thread_map(config.threads) as chunk_map:
-        parts = list(chunk_map(lambda task: chunk_sums(*task),
-                               _chunks(config.replicas, OCC_CHUNK, (config.seed, name))))
-    for chunk_idx, (sz, part) in enumerate(parts):
-        sums += np.array(part)
-        report.rows.append([chunk_idx, sz] + [float(v) for v in part])
-    reps = config.replicas
-    mean_q1, mean_q2, mean_tot = sums[0] / reps, sums[2] / reps, sums[3] / reps
-    var_q1 = max(sums[1] / reps - mean_q1**2, 0.0)
-    var_tot = max(sums[4] / reps - mean_tot**2, 0.0)
+    report.columns = ["block", "lengths", "p_one", "p_none", "p_two_plus", "lambda",
+                      "first_length"]
+    log_ends = 0.0
+    for k in range(m, n):
+        a, b = block_bounds(k, rho)
+        lam = block_mean(k, rho)
+        absent = math.exp(-lam)
+        # P(N_k >= 2) as P(N_k >= 1) - P(N_k = 1): no cancellation against 1
+        report.rows.append([k, b - a, lam * absent, absent,
+                            -math.expm1(-lam) - lam * absent, lam, a])
+        log_ends += math.log(b)
+    mean_q1, mean_q2, mean_tot = (math.fsum(row[col] for row in report.rows)
+                                  for col in (2, 4, 5))
     pred_q1 = nb * rho * (1.0 - rho)
     pred_tot = rho * nb
-    tol_q1 = 3.0 * math.sqrt(var_q1 / reps) + rho**3 * nb
-    tol_tot = 3.0 * math.sqrt(var_tot / reps)
-    # exact means of the independent Poisson(lambda_k) counts, reported only
-    absent = np.exp(-rho_vec)
+    tol_q1 = rho**3 * nb
+    # sum lambda is 1/ell summed over [ceil(e^{rho m}), ceil(e^{rho n})), within
+    # 2 / ceil(e^{rho m}) of rho nb; the rest bounds the rounding of the lambdas,
+    # of the two block ends and of the two sums (notes/decisions.md)
+    eps = math.ulp(1.0)
+    tol_tot = 2.0 / report.rows[0][6] + eps * (
+        4.0 * (log_ends + nb) + rho * (m + n) / 2.0 + 2.0 + mean_tot + pred_tot)
     report.cells.append({
-        "rho": rho, "m": m, "n": n, "replicas": reps,
+        "rho": rho, "m": m, "n": n,
         "mean_q1": mean_q1, "predicted_q1": pred_q1, "tolerance_q1": tol_q1,
         "mean_q2plus": mean_q2, "bound_q2plus": 5.0 * rho**2 * nb,
         "mean_total": mean_tot, "predicted_total": pred_tot,
         "tolerance_total": tol_tot,
-        "exact_q1": float((rho_vec * absent).sum()),
-        "exact_q2plus": float((1.0 - absent * (1.0 + rho_vec)).sum()),
-        "exact_total": float(table["total"]),
     })
     report.series.append({
         "name": "occupancy means", "x": [1.0, 2.0, 3.0],
@@ -731,53 +713,45 @@ def run_occupancy(config):
     })
     report.add_verdict(
         "q1-mean", abs(mean_q1 - pred_q1) <= tol_q1,
-        f"mean |Q1| = {mean_q1:.3f} vs {pred_q1:.3f} +- {tol_q1:.3f}")
+        f"E|Q1| = {mean_q1:.3f} vs {pred_q1:.3f} +- {tol_q1:.3f}")
     report.add_verdict(
         "q2-mean-bound", mean_q2 <= 5.0 * rho**2 * nb,
-        f"mean |Q>=2| = {mean_q2:.3f} <= {5.0 * rho**2 * nb:.3f}")
+        f"E|Q>=2| = {mean_q2:.3f} <= {5.0 * rho**2 * nb:.3f}")
     report.add_verdict(
         "total-concentration", abs(mean_tot - pred_tot) <= tol_tot,
-        f"mean N = {mean_tot:.3f} vs {pred_tot:.3f} +- {tol_tot:.3f}")
+        f"E N = {mean_tot!r} vs {pred_tot!r} +- {tol_tot:.3g}")
     return report
 
 
 # ---------------------------------------------------------------------------
 # registry
 
+# name -> (runner, default config keys)
 EXPERIMENTS = {
-    "lln": run_lln_scan,
-    "imag": run_imag_scan,
-    "clt": run_clt_check,
-    "conditional-tail": run_conditional_tail,
-    "two-point": run_two_point,
-    "arc-profile": run_arc_profile,
-    "occupancy": run_occupancy,
+    "lln": (run_lln_scan, dict(n_values=(1000, 10000, 100000, 1000000), replicas=20)),
+    "imag": (run_imag_scan, dict(n_values=(1000000,), replicas=20, kind="imag")),
+    "clt": (run_clt_check, dict(n_values=(1000000,), replicas=2000, t="golden")),
+    "conditional-tail": (run_conditional_tail,
+                         dict(rho=0.05, m=185, q=32, t="sqrt2", xi0=32)),
+    "two-point": (run_two_point, dict(rho=0.05, m=230, q=32, xi0=4, samples=100000)),
+    "arc-profile": (run_arc_profile,
+                    dict(n_values=(100000,), replicas=200, xi0=5, alpha=0.3)),
+    "occupancy": (run_occupancy, dict(rho=0.1, m=200, n_blocks=2000, replicas=10000)),
 }
 
-_DEFAULTS = {
-    "lln": dict(n_values=(1000, 10000, 100000, 1000000), replicas=20),
-    "imag": dict(n_values=(1000000,), replicas=20, kind="imag"),
-    "clt": dict(n_values=(1000000,), replicas=2000, t="golden"),
-    "conditional-tail": dict(rho=0.05, m=185, q=32, t="sqrt2", xi0=32),
-    "two-point": dict(rho=0.05, m=230, q=32, xi0=4, samples=100000),
-    "arc-profile": dict(n_values=(100000,), replicas=200, xi0=5, alpha=0.3),
-    "occupancy": dict(rho=0.1, m=200, n_blocks=2000, replicas=10000),
-}
+
+def _experiment(name):
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise ConfigError(f"unknown experiment {name!r}; "
+                          f"known: {sorted(EXPERIMENTS)}") from None
 
 
 def default_config(name, seed=0, **overrides):
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; "
-                          f"known: {sorted(EXPERIMENTS)}")
-    base = dict(_DEFAULTS.get(name, {}))
-    base.update(overrides)
-    base["name"] = name
-    base["seed"] = seed
-    return ExperimentConfig.from_dict(base)
+    return ExperimentConfig.from_dict(
+        {**_experiment(name)[1], **overrides, "name": name, "seed": seed})
 
 
 def run_experiment(name, config):
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; "
-                          f"known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](config)
+    return _experiment(name)[0](config)

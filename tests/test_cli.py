@@ -143,6 +143,24 @@ def test_experiment_config_overrides(tmp_path):
         assert run(["experiment", name, "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key, value, flag", [
+    ("name", "lln", "the NAME argument"), ("seed", 3, "--seed"), ("threads", 1, "--threads"),
+])
+def test_config_file_may_not_set_a_command_line_key(key, value, flag, tmp_path, capsys):
+    # the command line owns these: a file's seed or name made a TypeError
+    # traceback, and a file's threads overrode --threads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replicas": 300, key: value}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["experiment", "occupancy", "--config", str(cfg), "--threads", "2",
+                "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"key {key!r} is set on the command line; use {flag}" in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("overrides, limit", [
     ({"rho": 0}, "occupancy needs rho > 0"),
     ({"rho": -0.1}, "occupancy needs rho > 0"),
@@ -207,11 +225,11 @@ def test_block_config_out_of_domain_exits_2(name, overrides, limit, tmp_path, ca
     assert not list(out.iterdir())
 
 
-@pytest.mark.parametrize("name", ["clt", "lln"])
+@pytest.mark.parametrize("name", ["clt", "lln", "arc-profile"])
 def test_n_below_2_exits_2(name, tmp_path, capsys):
     # log N = 0: the CLT scale and every max/log N ratio are undefined
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n_values": [1]}))
+    bad.write_text(json.dumps({"n_values": [1], "kappa": 0.04}))
     assert run(["experiment", name, "--config", str(bad)]) == 2
     assert "error: n = 1" in capsys.readouterr().err
 

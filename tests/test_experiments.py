@@ -80,11 +80,15 @@ def test_occupancy_small_run_passes():
     report = run_occupancy(default_config("occupancy", seed=1, replicas=2000))
     assert report.passed
     cell = report.cells[0]
-    assert abs(cell["mean_q1"] - cell["predicted_q1"]) <= cell["tolerance_q1"]
-    # verdicts recomputable from raw rows
-    total_q1 = sum(row[2] for row in report.rows)
-    reps = sum(row[1] for row in report.rows)
-    assert total_q1 / reps == pytest.approx(cell["mean_q1"], rel=1e-12)
+    # every verdict recomputed from the per-block rows
+    rows = np.array(report.rows, dtype=float)
+    nb, rho = len(rows), cell["rho"]
+    assert rows[:, 0].tolist() == list(range(cell["m"], cell["n"]))
+    q1, q2, total = rows[:, 2].sum(), rows[:, 4].sum(), rows[:, 5].sum()
+    assert abs(q1 - nb * rho * (1 - rho)) <= rho**3 * nb
+    assert q2 <= 5 * rho**2 * nb
+    assert abs(total - rho * nb) <= cell["tolerance_total"]
+    assert np.allclose(rows[:, 2] + rows[:, 3] + rows[:, 4], 1.0, rtol=0, atol=1e-15)
 
 
 def test_occupancy_precondition():
@@ -162,6 +166,12 @@ def test_clt_check_rational_point_degenerate():
     assert cell["degenerate"] is True
     assert cell["atom_fraction"] > 0.2  # a length divisible by 2 occurs often
     assert report.passed  # flagged, not asserted
+
+
+def test_clt_refuses_a_single_replica():
+    # one value has no sample variance and no standardized KS distance
+    with pytest.raises(ConfigError, match=r"replicas = 1: clt needs replicas >= 2"):
+        run_clt_check(default_config("clt", replicas=1, n_values=(1000,)))
 
 
 def test_conditional_tail_small():
@@ -441,6 +451,21 @@ def test_calibrate_level_solves_exact_tail():
     assert 0.7e-2 <= est <= 1.4e-2
 
 
+@pytest.mark.parametrize("y", [-1.0, -1e-9, math.log(2.0), 0.7, math.nan])
+def test_two_point_refuses_a_level_outside_the_values(y):
+    # y <= 0 lets nearly every draw hit; no draw reaches y >= log 2
+    with pytest.raises(ConfigError, match=r"two-point needs 0 < y < log 2"):
+        run_two_point(default_config("two-point", seed=1, samples=1000, y=y))
+
+
+@pytest.mark.parametrize("q", [1, 3, 5000])
+def test_calibrate_level_without_a_root_names_q(q):
+    # at q <= 3 even x* has an i.i.d. tail above 10^-2; at q = 5000 even 0.05
+    # has one below it
+    with pytest.raises(ConfigError, match=rf"q = {q}: no level in \[0\.05, x\*\].*set y"):
+        _calibrate_level(q)
+
+
 def test_two_point_default_level_is_the_exact_one():
     report = run_two_point(default_config("two-point", seed=1, samples=2000))
     y = _calibrate_level(32)
@@ -538,28 +563,20 @@ def test_reports_thread_count_invariant_and_schema(name, overrides):
     jsonschema.validate(json.loads(r1.json_bytes()), schema)
 
 
-@pytest.mark.parametrize("name,overrides,chunks", [
-    ("two-point", dict(samples=2500, y=0.25), None),
-    ("occupancy", dict(replicas=300), 5),
-])
-def test_reports_thread_count_invariant_across_chunks(monkeypatch, name, overrides, chunks):
+def test_reports_thread_count_invariant_across_chunks(monkeypatch):
     # small chunks, so that several of them run on the workers at once; the
-    # last chunk is short, and each 64-row occupancy chunk takes two batches
+    # last chunk is short
     monkeypatch.setattr(experiments, "CHUNK", 1000)
-    monkeypatch.setattr(experiments, "OCC_CHUNK", 64)
-    reports = [run_experiment(name, default_config(name, seed=12, threads=threads,
-                                                   **overrides))
+    reports = [run_two_point(default_config("two-point", seed=12, threads=threads,
+                                            samples=2500, y=0.25))
                for threads in (1, 2, 8)]
     assert len({r.json_bytes() for r in reports}) == 1
     assert len({r.csv_text() for r in reports}) == 1
-    if chunks is not None:
-        assert len(reports[0].rows) == chunks
 
 
 @pytest.mark.parametrize("name,overrides,hashes", [
     ("conditional-tail", dict(samples=30000), ("edc1b6a8", "ca820f6c")),
     ("two-point", dict(samples=10000, y=0.25), ("1baf1a90", "cb2ba868")),
-    ("occupancy", dict(replicas=500), ("1c1fcd84", "f701cd17")),
 ])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_block_draw_reports_keep_their_bytes(name, overrides, hashes, threads):
@@ -571,39 +588,53 @@ def test_block_draw_reports_keep_their_bytes(name, overrides, hashes, threads):
             hashlib.sha256(report.csv_text().encode()).hexdigest()[:8]) == hashes
 
 
-def test_occupancy_placement_matches_a_bruteforce_recount():
-    # chunk 0 recounted cycle by cycle: a Poisson(sum lambda) total per row,
-    # then all the chunk's uniforms at once, each placed at the clipped
-    # searchsorted index of r * total and counted with np.add.at
-    cfg = default_config("occupancy", seed=12, replicas=300)
-    row = run_occupancy(cfg).rows[0]
-    cum = np.cumsum([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
-    total = float(cum[-1])
-    rng = stream(12, "occupancy", 0)
-    tot = rng.poisson(total, size=256)
-    blocks = np.minimum(np.searchsorted(cum, rng.random(tot.sum()) * total),
-                        cfg.n_blocks - 1)
-    cnt = np.zeros((256, cfg.n_blocks), dtype=np.int64)
-    np.add.at(cnt, (np.repeat(np.arange(256), tot), blocks), 1)
-    q1 = (cnt == 1).sum(axis=1).astype(float)
-    q2 = (cnt >= 2).sum(axis=1).astype(float)
-    tot = tot.astype(float)
-    assert row == [0, 256, q1.sum(), (q1 * q1).sum(), q2.sum(), tot.sum(), (tot * tot).sum()]
-
-
 def test_occupancy_means_match_the_exact_poisson_means():
-    # independent Poisson(lambda_k) block counts: |Q1|, |Q>=2| and N are sums
-    # of independent indicators and counts, with exact means and variances
-    cfg = default_config("occupancy", seed=7, replicas=4000, n_blocks=50)
-    cell = run_occupancy(cfg).cells[0]
-    lam = np.array([block_mean(k, cfg.rho) for k in range(cfg.m, cfg.m + cfg.n_blocks)])
-    p1 = lam * np.exp(-lam)
-    p2 = 1.0 - np.exp(-lam) * (1.0 + lam)
-    for key, mean, var in (("q1", p1.sum(), (p1 * (1 - p1)).sum()),
-                           ("q2plus", p2.sum(), (p2 * (1 - p2)).sum()),
-                           ("total", lam.sum(), lam.sum())):
-        assert cell[f"exact_{key}"] == pytest.approx(mean, rel=1e-12)
-        assert abs(cell[f"mean_{key}"] - mean) <= 4.0 * math.sqrt(var / cfg.replicas), key
+    # lambda_k as psi(b) - psi(a) at 30 digits, and P(N_k = 1) and
+    # P(N_k >= 2) of Poisson(lambda_k) from scipy.stats, summed block by block
+    mpmath = pytest.importorskip("mpmath")
+    cfg = default_config("occupancy", n_blocks=50)
+    report = run_occupancy(cfg)
+    with mpmath.workdps(30):
+        lam = np.array([float(mpmath.psi(0, b) - mpmath.psi(0, a)) for a, b in
+                        (block_bounds(k, cfg.rho) for k in range(cfg.m, cfg.m + 50))])
+    for key, col, terms in (("q1", 2, stats.poisson.pmf(1, lam)),
+                            ("q2plus", 4, stats.poisson.sf(1, lam)),
+                            ("total", 5, lam)):
+        assert report.cells[0][f"mean_{key}"] == pytest.approx(terms.sum(), rel=1e-12), key
+        assert np.allclose([row[col] for row in report.rows], terms, rtol=1e-12, atol=0)
+
+
+def test_occupancy_report_is_the_same_at_every_seed_and_thread_count():
+    # computed, not sampled: seed and threads move no byte but the echoed seed,
+    # and the rows add up to the cell's means
+    reports = [run_occupancy(default_config("occupancy", seed=seed, threads=threads,
+                                            n_blocks=300))
+               for seed in (1, 2) for threads in (1, 2, 8)]
+
+    def unseeded(report):
+        data = json.loads(report.json_bytes())
+        del data["seed"], data["config"]["seed"]
+        return data
+
+    assert all(unseeded(r) == unseeded(reports[0]) for r in reports)
+    assert len({r.csv_text() for r in reports}) == 1
+    cell = reports[0].cells[0]
+    for key, col in (("q1", 2), ("q2plus", 4), ("total", 5)):
+        assert math.fsum(row[col] for row in reports[0].rows) == pytest.approx(
+            cell[f"mean_{key}"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rho,m,n_blocks,min_gap", [(0.3, 200, 100, 0.0),
+                                                    (0.35, 200, 150, 1e-15)])
+def test_occupancy_total_tolerance_covers_the_rounding(rho, m, n_blocks, min_gap):
+    # 2 / ceil(e^{rho m}) is below 1e-20 here, so only the rounding term of the
+    # tolerance can cover E N - rho nb, which at (0.35, 200, 150) is 1.4e-14
+    report = run_occupancy(default_config("occupancy", rho=rho, m=m, n_blocks=n_blocks))
+    cell = report.cells[0]
+    assert 2.0 / block_bounds(m, rho)[0] < 1e-20
+    assert verdict(report, "total-concentration")["passed"]
+    assert min_gap <= abs(cell["mean_total"] - cell["predicted_total"])
+    assert cell["tolerance_total"] < 1e-10
 
 
 def _error_of(run):
