@@ -160,9 +160,37 @@ def rate():
     return out
 
 
+def arc_profile():
+    """ms of the 200 ranged scans of the default arc-profile run at seed 1, their terms and
+    bounds, and ns per evaluated term."""
+    from permfield import experiments
+    config = experiments.default_config("arc-profile", seed=1)
+    scan_max, spent, runs = experiments.scan_max, [], []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        res = scan_max(*args, **kwargs)
+        spent.append((time.perf_counter() - start, res.terms, res.bounds))
+        return res
+
+    experiments.scan_max = timed
+    try:
+        for _ in range(REPEATS):
+            spent.clear()
+            experiments.run_arc_profile(config)
+            runs.append(sum(s for s, _, _ in spent))
+    finally:
+        experiments.scan_max = scan_max
+    terms = sum(t for _, t, _ in spent)
+    return {"arc_profile.scans": len(spent), "arc_profile.scan_ms": statistics.median(runs) * 1e3,
+            "arc_profile.terms": terms, "arc_profile.bounds": sum(b for _, _, b in spent),
+            "arc_profile.ns_per_term": statistics.median(runs) / terms * 1e9}
+
+
 def scan(n, kind, threads, traced):
-    """ms and maximizer of one `scan_max` of the seed-4 lln replica 0 on its mesh; untraced,
-    its terms and bounds per q L (L distinct lengths), traced, the trace's sha256."""
+    """ms and maximizer of one `scan_max` of the seed-4 lln replica 0 on its mesh, and ns per
+    evaluated term; untraced, its terms and bounds per q L (L distinct lengths), traced, the
+    trace's sha256."""
     from permfield.cycles import sample_cycle_structure
     from permfield.field import FieldSpec, Mesh, scan_max
     from permfield.streams import stream
@@ -176,9 +204,11 @@ def scan(n, kind, threads, traced):
     work, found = mesh.q * len(counts.lengths), {f"{prefix}.maximizer": [res.index, res.value]}
     if traced:
         return {**found, f"{prefix}.traced_ms.threads{threads}": ms,
+                f"{prefix}.traced_ns_per_term.threads{threads}": ms * 1e6 / res.terms,
                 f"{prefix}.trace_sha256": hashlib.sha256(res.trace.tobytes()).hexdigest()}
     return {**found, f"{prefix}.untraced_ms": ms, f"{prefix}.terms_per_qL": res.terms / work,
-            f"{prefix}.bounds_per_qL": res.bounds / work}
+            f"{prefix}.bounds_per_qL": res.bounds / work,
+            f"{prefix}.ns_per_term": ms * 1e6 / res.terms}
 
 
 def peak_rss(name):
@@ -195,11 +225,13 @@ GROUPS = {
     "occupancy": (occupancy, [()], ()),
     "exact_tail": (exact_tail, [()], ("_block_tail",)),
     "rate": (rate, [()], ()),
+    "arc_profile": (arc_profile, [()], ()),
     "scan": (scan, [(n, kind, threads, traced) for n in (10**6, 10**7, 10**8)
                     for kind in ("real", "imag")
                     for threads, traced in [(0, False)] + [(t, True) for t in THREADS]
                     if n <= TRACED_MAX or not traced], ()),
-    "peak_rss": (peak_rss, [("conditional-tail",), ("two-point",)], ()),
+    "peak_rss": (peak_rss, [(name,) for name in ("conditional-tail", "two-point", "lln",
+                                                  "arc-profile")], ()),
 }
 
 

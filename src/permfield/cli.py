@@ -7,6 +7,7 @@ or accuracy error.
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -36,6 +37,17 @@ def _parse_theta(text):
     return frac.numerator, frac.denominator
 
 
+def _count(text):
+    """An exact integer >= 1, in scientific notation too: 1e7, 2.5E3."""
+    try:
+        value = decimal.Decimal(text)  # exact where float() would round
+        if value.is_finite() and value == value.to_integral_value() and value >= 1:
+            return int(value)
+    except decimal.InvalidOperation:
+        pass
+    raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+
+
 def _write_out(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -62,7 +74,7 @@ def _build_parser():
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("sample", help="sample a cycle structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -72,7 +84,7 @@ def _build_parser():
     p.add_argument("--imag", action="store_true")
 
     p = sub.add_parser("scan", help="scan the field over a rotated mesh")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--mesh-factor", type=int, default=2)
     p.add_argument("--theta", default="1/7")
     p.add_argument("--seed", type=int, default=0)

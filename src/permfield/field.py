@@ -44,7 +44,8 @@ __all__ = [
 NEG_INF = float("-inf")
 
 FLOAT_ZERO_TOL = 1e-15  # torus distance below which float input counts as 0
-BLOCK = 1 << 16  # points per traced task
+BLOCK = 1 << 16  # points per traced task, and most terms per tile: 512 KB stays in cache
+TILE = 3  # lengths per tile of the pruned walk, longest first
 PRUNE_RUNS = 64  # surviving 4096-runs per step of the prune walk: bounds its memory
 BOUND_SPAN = 1 << 22  # mesh points per window of the unpruned 4096-run bound pass
 RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
@@ -141,20 +142,17 @@ def log_abs_term_array(lengths, t):
     return term_array(u, 1.0, "real")
 
 
-def term_array(num, den, kind, out=None):
+def term_array(num, den, kind):
     """Vectorized term of the residues num/den in [0, 1).
 
     num is an int64 array over the integer den (the exact scan residues) or
     a float array with den = 1.0. Real kind: log(2 sin(pi min(u, 1-u))),
-    -inf at u = 0; imaginary kind: pi (u - 1/2). The terms are written into
-    out (a float64 array of num's shape) when it is given, else into a new
-    array; the values are the same either way.
+    -inf at u = 0; imaginary kind: pi (u - 1/2).
     """
     # in place: fresh arrays per step cost the scan ~15-20%. Rounding is
     # monotone, so the float minimum of the rounded num and den - num is
     # the rounded integer minimum, and the terms are those of the exact fold
-    if out is None:
-        out = np.empty(np.shape(num))
+    out = np.empty(np.shape(num))
     if kind == "imag":
         np.divide(num, den, out=out)
         out -= 0.5
@@ -278,44 +276,67 @@ def _scan_capacity_check(mesh, max_len):
         )
 
 
-def _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors=None):
-    """Field values at the mesh indices j, summed over the lengths in order.
+def _tile(j, lo, hi, kernel):
+    """The scan kernel: the table of c * term(ell t_j) over the lengths lo ..
+    hi - 1 (rows) and the mesh indices j (columns, the contiguous axis)."""
+    q, qtd, d, residues, offsets, counts, kind = kernel
+    num = np.empty((hi - lo, len(j)), dtype=np.int64)
+    _residues_into(num, j, residues[lo:hi, None], offsets[lo:hi, None], q, qtd, d)
+    val = term_array(num, d, kind)
+    val *= counts[lo:hi, None]
+    return val
 
-    With floors, the points whose partial sum after length i is strictly
-    below floors[i] are dropped. Returns the surviving indices, their
-    values and the number of terms evaluated.
-    """
-    acc = np.zeros(len(j))
-    num = np.empty_like(j)
-    val = np.empty(len(j))
-    terms = 0
-    for i, (r, off, c) in enumerate(zip(residues, offsets, counts)):
+
+def _evaluate(j, kernel):
+    """(j, field values at the mesh indices j, terms evaluated): tiles of at
+    most BLOCK terms, each row added as it is made, shortest length first."""
+    acc, n = np.zeros(len(j)), len(kernel[5])
+    step = max(1, BLOCK // max(len(j), 1))
+    for lo in range(0, n, step):
+        for row in _tile(j, lo, min(lo + step, n), kernel):
+            acc += row
+    return j, acc, len(j) * n
+
+
+def _walk(j, owner, sups, level, kernel):
+    """(survivors, their values, terms evaluated) of the pruned walk over
+    the mesh indices j; sups[:, owner] bounds each term over a point's run.
+    Tiles of TILE lengths are taken longest first; after each, a point is
+    dropped when its partial sum plus its run's bound of the lengths not
+    yet taken is below level. A survivor's value is the sum of its terms in
+    ascending length order, bit for bit that of _evaluate."""
+    rest = np.zeros((len(sups) + 1, sups.shape[1]))  # rest[lo]: lengths below lo
+    np.cumsum(sups, axis=0, out=rest[1:])
+    tiles, part, terms = [], np.zeros(len(j)), 0
+    for hi in range(len(kernel[5]), 0, -TILE):
         if not len(j):
             break
-        _residues_into(num, j, r, off, q, qtd, d)
-        term_array(num, d, kind, out=val)
-        val *= c
-        acc += val
-        terms += len(j)
-        if floors is not None:
-            keep = acc >= floors[i]
-            if not keep.all():
-                j, acc = j[keep], acc[keep]
-                num, val = num[:len(j)], val[:len(j)]
+        lo = max(hi - TILE, 0)
+        tiles.append(_tile(j, lo, hi, kernel))
+        terms += tiles[-1].size
+        part += tiles[-1].sum(axis=0)
+        keep = part + rest[lo, owner] >= level
+        if not keep.all():
+            j, part, owner = j[keep], part[keep], owner[keep]
+            tiles = [tile[:, keep] for tile in tiles]
+    acc = np.zeros(len(j))
+    for row in (row for tile in tiles[::-1] for row in tile):
+        acc += row
     return j, acc, terms
 
 
 def _residues_into(num, j, r, off, q, qtd, d):
     """num = ((r j mod q) qtd + off) mod d: the exact residue of ell t_j,
     scaled by d, for ell mod q = r and ell theta_num mod d = off. The
-    arguments broadcast: j a column and r, off rows give a table."""
+    arguments broadcast: r, off columns and j a row give a table."""
     # in place: fresh arrays per step made this step ~1.6x slower on
     # 2^16-point blocks
     np.multiply(j, r, out=num)
     num %= q
     num *= qtd
     num += off
-    num %= d
+    # (q - 1) qtd + off < 2d, so one subtraction reduces mod d
+    np.subtract(num, d, out=num, where=num >= d)
 
 
 def _run_sup(a, b, d, kind):
@@ -352,20 +373,22 @@ def _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind):
 
     A run turns ell t through a full period once ell (m - 1) >= q; lengths
     ascend, so those are a suffix, each bounded by c log 2 (c pi/2). Over
-    the prefix of k shorter lengths the bound sums c times the term's
-    supremum over the run, LENGTH_GROUP lengths per step. Returns the
-    bounds and the number of (run, length) bounds computed, len(starts) * k.
+    the prefix of k shorter lengths each term is bounded by c times its
+    supremum over the run, in (lengths x runs) tables of LENGTH_GROUP
+    lengths. Returns the bounds; sups, the (lengths x runs) table of the
+    bounds of each term; and the number of (run, length) bounds computed,
+    len(starts) * k.
     """
     k = int(np.searchsorted(lengths, (q - 1) // (m - 1), side="right"))
-    acc = np.zeros(len(starts))
+    sups = np.empty((len(lengths), len(starts)))
     for g in range(0, k, LENGTH_GROUP):
         group = slice(g, min(g + LENGTH_GROUP, k))
-        a = np.empty((len(starts), group.stop - g), dtype=np.int64)
-        _residues_into(a, starts[:, None], residues[group], offsets[group], q, qtd, d)
-        sup = _run_sup(a, a + lengths[group] * (m - 1) * qtd, d, kind)
-        sup *= counts[group]
-        acc += sup.sum(axis=1)
-    return acc + _PEAK[kind] * float(counts[k:].sum()), len(starts) * k
+        a = np.empty((group.stop - g, len(starts)), dtype=np.int64)
+        _residues_into(a, starts, residues[group, None], offsets[group, None], q, qtd, d)
+        sups[group] = _run_sup(a, a + lengths[group, None] * ((m - 1) * qtd), d, kind)
+    sups[:k] *= counts[:k, None]
+    sups[k:] = _PEAK[kind] * counts[k:, None]
+    return sups.sum(axis=0), sups, len(starts) * k
 
 
 def _first_max(results):
@@ -418,30 +441,26 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
 
     Without a trace the scan is an exact branch and bound on each side.
     Runs of 4096 and then of 64 consecutive points of the side's ranges
-    are bounded before any of their points is evaluated. Over a run, ell t
-    sweeps an interval whose two ends are exact residues, and the term's
-    supremum there is exact: for the real kind log 2 if the interval holds
-    a half-integer, else the term at the end farther from an integer (the
-    term is concave between integers); for the imaginary kind pi/2 if it
-    holds an integer, else the term at its right end (the term increases
-    between integers); c log 2 or c pi/2 once the run turns ell t through
-    a full period. The threshold is picked best first on a fixed budget:
-    the points of the best 16 64-runs in the best 4 4096-runs of the side
-    (at most 1 024; ranked by bound, ties to the smaller start) are
-    evaluated in full, and their best value is the side's threshold, a
-    function of the inputs alone. A run is kept when its bound is at least
-    the threshold - slack; no other run can hold that side's maximum. The
-    kept 4096-runs are walked in index order, PRUNE_RUNS at a time; the
-    points of their kept 64-runs then run through the lengths in ascending
-    order and are dropped as soon as their partial sum plus c log 2
-    (c pi/2) per remaining length falls below that level. Survivors are
-    summed in the same order with the same operations as the full scan,
-    so their values are bit-identical to it. ScanResult.terms counts the
-    (point, length) terms evaluated, each at most once, and
-    ScanResult.bounds every (run, length) bound of each bounded run; both
-    depend on the inputs alone. A side of one range of at most 1 024
-    points is evaluated in full by the threshold step; on sampled
-    permutations at N = 10^6 the terms are 0.05-0.1% of q * #lengths.
+    are bounded before any point is evaluated, each term by its exact
+    supremum over the run (_run_sup), or c log 2 (c pi/2) once the run
+    turns ell t through a full period. The points of the best 16 64-runs
+    in the best 4 4096-runs (at most 1 024; ranked by bound, ties to the
+    smaller start) are evaluated in full, and their best value is the
+    side's threshold, a function of the inputs alone. A run is kept when
+    its bound is at least the level, threshold - slack; no other run can
+    hold the side's maximum. The kept 4096-runs are walked in index order,
+    PRUNE_RUNS at a time, and the points of their kept 64-runs take their
+    terms TILE lengths at a time, longest first: they are dropped once
+    their partial sum plus their run's bounds of the lengths not yet taken
+    falls below the level (_walk). Long lengths have the loose bound
+    c log 2 and short ones tight run bounds, so this drops points early.
+    A survivor's value sums its terms in ascending length order, bit for
+    bit the full scan's. ScanResult.terms counts the (point, length)
+    terms evaluated, each at most once, and ScanResult.bounds the (run,
+    length) bounds; both depend on the inputs alone. A side of one range
+    of at most 1 024 points is evaluated in full by the threshold step; on
+    sampled permutations at N = 10^6 the terms are 0.05-0.07% of
+    q * #lengths.
 
     want_trace=True evaluates every term and returns the field on the
     whole mesh.
@@ -458,18 +477,17 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
     offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
     n_threads = resolve_threads(threads)
     kind = spec.kind
-
-    def evaluate(j, floors=None):
-        return _scan_block(j, q, qtd, d, residues, offsets, counts, kind, floors)
+    kernel = (q, qtd, d, residues, offsets, counts, kind)
 
     def bound(starts, m):
         return _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts, kind)
 
     if want_trace:
         j = np.arange(q, dtype=np.int64)
+        blocks = [j[i:i + BLOCK] for i in range(0, q, BLOCK)]
         with thread_map(n_threads) as tmap:
             trace = np.concatenate([acc for _, acc, _ in tmap(
-                evaluate, [j[i:i + BLOCK] for i in range(0, q, BLOCK)])])
+                _evaluate, blocks, [kernel] * len(blocks))])
         index = int(np.argmax(trace))
         return ScanResult(index=index, value=float(trace[index]), trace=trace,
                           terms=q * len(lengths))
@@ -483,14 +501,14 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
         window = BOUND_SPAN // RUNS[0]
         passes = [bound(starts[i:i + window], RUNS[0])
                   for i in range(0, len(starts), window)]
-        coarse = np.concatenate([c for c, _ in passes] or [np.zeros(0)])
-        b0 = sum(b for _, b in passes)
+        coarse = np.concatenate([c for c, _, _ in passes] or [np.zeros(0)])
+        b0 = sum(b for _, _, b in passes)
         # best first, ties to the smaller start
         fine = _subruns(starts[np.lexsort((starts, -coarse))[:BEST[0]]],
                         RUNS[0], RUNS[1], hi)
-        fine_bound, b1 = bound(fine, RUNS[1])
+        fine_bound, _, b1 = bound(fine, RUNS[1])
         done = fine[np.lexsort((fine, -fine_bound))[:BEST[1]]]
-        best = evaluate(_subruns(done, RUNS[1], 1, hi))
+        best = _evaluate(_subruns(done, RUNS[1], 1, hi), kernel)
         found, bounds = [best], bounds + b0 + b1
         threshold = float(best[1].max()) if len(best[1]) else NEG_INF
         # the keep level: the rounding of the sums and of the bounds stays
@@ -498,15 +516,20 @@ def scan_max(spec, mesh, threads=None, want_trace=False, ranges=None):
         # -inf threshold gives an infinite slack and a -inf level, so
         # nothing is dropped
         level = threshold - 1e-9 * (1.0 + abs(threshold) + per * total)
-        floors = [level - per * (total - c) for c in np.cumsum(counts).tolist()]
         kept = starts[coarse >= level]
+        step = BLOCK // TILE  # points per walk: its tiles hold at most BLOCK terms
         for i in range(0, len(kept), PRUNE_RUNS):
-            # their 64-runs not yet evaluated, then the points of those kept
+            # their 64-runs not yet evaluated, then the points of those kept,
+            # each with its run's column of sups
             fine = _subruns(kept[i:i + PRUNE_RUNS], RUNS[0], RUNS[1], hi)
             fine = fine[~np.isin(fine, done)]
-            fine_bound, b = bound(fine, RUNS[1])
-            found.append(evaluate(_subruns(fine[fine_bound >= level], RUNS[1], 1, hi),
-                                  floors))
+            fine_bound, sups, b = bound(fine, RUNS[1])
+            keep = fine_bound >= level
+            fine, sups = fine[keep], sups[:, keep]
+            j = _subruns(fine, RUNS[1], 1, hi)
+            owner = np.searchsorted(fine, j, side="right") - 1
+            found += [_walk(j[s:s + step], owner[s:s + step], sups, level, kernel)
+                      for s in range(0, len(j), step)]
             bounds += b
         split.append(_first_max(found))
         terms += sum(t for _, _, t in found)

@@ -24,6 +24,27 @@ def test_scan_rejects_zero_n(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_n_in_scientific_notation(tmp_path, capsys):
+    # --n is an exact integer, in scientific notation too
+    assert run(["scan", "--n", "1e3", "--seed", "1"]) == 0
+    short = capsys.readouterr().out
+    assert run(["scan", "--n", "1000", "--seed", "1"]) == 0
+    assert short == capsys.readouterr().out
+    assert "argmax_j" in short
+    for text in ("2.5E3", "2500"):
+        assert run(["sample", "--n", text, "--seed", "9", "--out",
+                    str(tmp_path / f"{text}.csv")]) == 0
+    assert (tmp_path / "2.5E3.csv").read_bytes() == (tmp_path / "2500.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-3", "0", "-4", "0e5", "nan", "inf", "1e", "ten"])
+@pytest.mark.parametrize("command", ["scan", "sample"])
+def test_n_not_a_count_exits_2(command, text, capsys):
+    assert run([command, "--n", text]) == 2
+    assert f"error: argument --n: need an integer >= 1, got {text!r}" \
+        in capsys.readouterr().err
+
+
 def test_unknown_flag_and_command():
     assert run(["scan", "--n", "4", "--bogus", "1"]) == 2
     assert run(["no-such-command"]) == 2

@@ -24,6 +24,9 @@ from permfield.field import (
     _bound_runs,
     _lengths,
     _run_sup,
+    _sides,
+    _subruns,
+    _walk,
     arg_term,
     eval_point,
     log_abs_term,
@@ -367,7 +370,7 @@ def test_scan_work_without_ranges_is_unchanged():
     # the whole mesh is one side: the same work as the scan before ranges
     cs = sample_cycle_structure(10**5, stream(79, "threads"))
     mesh = Mesh(q=3 * BLOCK + 17, theta_num=1, theta_den=7)
-    for kind, terms, bounds in (("real", 57639, 18201), ("imag", 12701, 2861)):
+    for kind, terms, bounds in (("real", 26886, 18201), ("imag", 12701, 2861)):
         spec = FieldSpec(counts=cs, kind=kind)
         res = scan_max(spec, mesh, threads=1)
         assert (res.terms, res.bounds, res.split) == (terms, bounds, None)
@@ -438,12 +441,71 @@ def test_bound_runs_keep_every_run_reaching_the_floor(case, m, rank):
     per = math.pi / 2.0 if spec.kind == "imag" else math.log(2.0)
     slack = 1e-9 * (1.0 + abs(level) + per * int(counts.sum()))
     starts = np.arange(0, q, m, dtype=np.int64)
-    bound, bounds = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets, counts,
-                                spec.kind)
+    bound, _, bounds = _bound_runs(starts, m, q, qtd, d, lengths, residues, offsets,
+                                   counts, spec.kind)
     kept = starts[bound >= level - slack]
     reached = [j0 for j0 in starts.tolist() if trace[j0:j0 + m].max() >= level]
     assert set(reached) <= set(kept.tolist())
     assert bounds <= len(starts) * len(ells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=range_scan_cases(), inside=st.booleans(), level=st.none() | st.floats(0.0, 1.0))
+@example(case=(TIES, Mesh(q=130), [(33, 98)]), inside=True, level=1.0)
+@example(case=(FieldSpec(counts=CycleCounts.from_dict(3, {3: 1}), truncation=2), Mesh(q=70),
+               []), inside=False, level=0.5)
+def test_longest_first_walk_keeps_every_point_reaching_the_level(case, inside, level):
+    # the pruned walk over one side's 64-runs: level None is -inf, else the
+    # traced value of the side's point at that rank
+    spec, mesh, ranges = case
+    side = _sides(ranges, mesh.q)[0 if inside else 1]
+    if not side:
+        return
+    trace = scan_max(spec, mesh, threads=1, want_trace=True).trace
+    lengths, counts = _lengths(spec)
+    q, td, tn = mesh.q, mesh.theta_den, mesh.theta_num
+    d, qtd = q * q * td, q * td
+    residues = np.array([ell % q for ell in lengths.tolist()], dtype=np.int64)
+    offsets = np.array([(ell * tn) % d for ell in lengths.tolist()], dtype=np.int64)
+    hi = np.array([b for _, b in side], dtype=np.int64)
+    fine = np.array([j0 for a, b in side for j0 in range(a, b, RUNS[1])], dtype=np.int64)
+    _, sups, _ = _bound_runs(fine, RUNS[1], q, qtd, d, lengths, residues, offsets, counts,
+                             spec.kind)
+    points = _subruns(fine, RUNS[1], 1, hi)
+    owner = np.searchsorted(fine, points, side="right") - 1
+    if level is None:
+        level = NEG_INF
+    else:
+        level = float(np.sort(trace[points])[int(level * (len(points) - 1))])
+    per = math.pi / 2.0 if spec.kind == "imag" else math.log(2.0)
+    slack = 1e-9 * (1.0 + abs(level) + per * int(counts.sum()))
+    kept, values, terms = _walk(points, owner, sups, level - slack,
+                                (q, qtd, d, residues, offsets, counts, spec.kind))
+    assert set(points[trace[points] >= level].tolist()) <= set(kept.tolist())
+    assert np.array_equal(values, trace[kept])  # bit for bit, -inf included
+    assert terms <= len(points) * len(lengths) <= q * len(lengths)
+    if level == NEG_INF:
+        assert np.array_equal(kept, points) and terms == len(points) * len(lengths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 2**31 - 1), below=st.integers(1, 10**6), tn=st.integers(-1, 1),
+       lengths=st.lists(st.integers(1, 10**9), min_size=1, max_size=8),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(q=2**31 - 1, below=1, tn=1, lengths=[2**31 - 2, 1], picks=[1.0, 0.0])
+def test_residues_into_matches_the_integer_reduction(q, below, tn, lengths, picks):
+    # d = q^2 theta_den just below 2^62, where (q - 1) qtd + off nears 2d:
+    # the table against the Python integer (ell t_j d) mod d
+    td = max(1, (INT64_SAFE - below) // (q * q))
+    tn *= td
+    d = q * q * td
+    js = sorted({int(p * (q - 1)) for p in picks} | {0, q - 1})
+    num = np.empty((len(lengths), len(js)), dtype=np.int64)
+    field._residues_into(num, np.array(js, dtype=np.int64),
+                         np.array([[ell % q] for ell in lengths], dtype=np.int64),
+                         np.array([[ell * tn % d] for ell in lengths], dtype=np.int64),
+                         q, q * td, d)
+    assert num.tolist() == [[ell * (j * q * td + tn) % d for j in js] for ell in lengths]
 
 
 @settings(max_examples=30, deadline=None)
@@ -484,9 +546,8 @@ def test_term_array_buffer_matches_fresh_fold():
         num[:3] = (0, d // 2, d - 1)
         with np.errstate(divide="ignore"):
             fresh = np.log(2.0 * np.sin(np.pi * (np.minimum(num, d - num) / d)))
-        buf = np.full(len(num), np.nan)
-        assert np.array_equal(term_array(num, d, "real", out=buf), fresh)
-        assert np.array_equal(term_array(num, d, "imag", out=buf), np.pi * (num / d - 0.5))
+        assert np.array_equal(term_array(num, d, "real"), fresh)
+        assert np.array_equal(term_array(num, d, "imag"), np.pi * (num / d - 0.5))
 
 
 def test_mesh_supremum_factor_14():
