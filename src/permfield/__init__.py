@@ -15,10 +15,7 @@ from .arith import (
 )
 from .cycles import (
     CycleCounts,
-    Occupancy,
-    coarse_occupancy,
     exact_cycle_type_probability,
-    sample_block_cycle,
     sample_cycle_structure,
     sample_poisson_counts,
 )
@@ -31,7 +28,6 @@ from .field import (
     eval_point,
     log_abs_term,
     scan_max,
-    split_field,
 )
 from .kronecker import FourierRow, decay_envelope, log_average, phi_hat
 from .ratefn import (

@@ -1,12 +1,13 @@
-"""Cycle-structure samplers and coarse-scale occupancy bookkeeping.
+"""Cycle-structure samplers and the 1/length law they draw from.
 
 A uniform random permutation of [n] is represented only through its cycle
 type: the occupied lengths and their multiplicities, held in a CycleCounts.
 The Poisson surrogate replaces the multiplicities with independent
 Poisson(1/length) counts and is held in the same type. Lengths are
-grouped into geometric blocks [ceil(e^{rho*k}), ceil(e^{rho*(k+1)})) and
-occupancy of the blocks (0 / 1 / >=2 cycles) drives the conditioning used
-by the experiment harness.
+grouped into geometric blocks [ceil(e^{rho*k}), ceil(e^{rho*(k+1)})),
+whose expected cycle counts block_mean gives. The cached 1/length table
+serves the Poisson sampler, two-point's guide walk and
+kronecker.log_average.
 """
 
 import math
@@ -17,16 +18,13 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 
 __all__ = [
     "CycleCounts",
-    "Occupancy",
     "sample_cycle_structure",
     "exact_cycle_type_probability",
     "sample_poisson_counts",
-    "sample_block_cycle",
-    "coarse_occupancy",
     "block_bounds",
     "block_mean",
     "harmonic_sum",
@@ -102,23 +100,6 @@ def _require_permutation(structure):
             f"cycle lengths sum to {total}, expected n = {structure.size}")
 
 
-@dataclass
-class Occupancy:
-    """Partition of block indices [m, n) by occupancy 0 / 1 / >= 2."""
-
-    rho: float
-    m: int
-    n: int
-    q0: tuple
-    q1: tuple
-    q2plus: tuple
-
-    def __post_init__(self):
-        merged = sorted(self.q0 + self.q1 + self.q2plus)
-        if merged != list(range(self.m, self.n)):
-            raise InvalidArgumentError("q0, q1, q2plus must partition [m, n)")
-
-
 @lru_cache(maxsize=4096)
 def _harmonic_sum_exact(a, b):
     return math.fsum(1.0 / ell for ell in range(a, b))
@@ -160,9 +141,13 @@ def sample_cycle_structure(n, rng):
     Stick-breaking recursion: the cycle containing the smallest remaining
     element has length uniform on {1, ..., remaining}, which matches the
     Chinese restaurant construction in distribution and costs O(#cycles).
+    n must fit in int64, the range of the uniform draws.
     """
     if n < 1:
         raise InvalidArgumentError(f"permutation size must be >= 1, got {n}")
+    if n > (1 << 63) - 1:
+        raise CapacityError(f"permutation size n = {n} exceeds 2^63 - 1, the int64 "
+                            "range of the cycle sampler")
     remaining = int(n)
     drawn = []
     while remaining > 0:
@@ -270,40 +255,6 @@ def sample_poisson_counts(max_len, rng):
     total = int(rng.poisson(harmonic_sum(1, max_len + 1)))
     draws = _sample_one_over_ell(1, max_len + 1, total, rng)
     return CycleCounts.from_dict(int(max_len), Counter(draws.tolist()))
-
-
-def sample_block_cycle(k, rho, rng, size=None):
-    """Length of the single cycle of block k: P(ell) = (1/ell) / rho_k on the block."""
-    draws = _sample_one_over_ell(*block_bounds(k, rho), 1 if size is None else size, rng)
-    return int(draws[0]) if size is None else draws
-
-
-def _block_of_length(ell, rho):
-    k = int(math.floor(math.log(ell) / rho))
-    # ceil rounding of the endpoints can shift the block by one either way
-    while block_bounds(k, rho)[0] > ell:
-        k -= 1
-    while block_bounds(k + 1, rho)[0] <= ell:
-        k += 1
-    return k
-
-
-def coarse_occupancy(counts, rho, m, n):
-    """Classify blocks k in [m, n) by N(I_k) = 0 / 1 / >= 2."""
-    if not 0.0 < rho < 0.5:
-        raise InvalidArgumentError(f"rho must lie in (0, 1/2), got {rho}")
-    if m >= n:
-        raise InvalidArgumentError(f"need m < n, got m={m}, n={n}")
-    per_block = {}
-    for ell, c in zip(counts.lengths.tolist(), counts.counts.tolist()):
-        k = _block_of_length(ell, rho)
-        if m <= k < n:
-            per_block[k] = per_block.get(k, 0) + c
-    q0, q1, q2 = [], [], []
-    for k in range(m, n):
-        occ = per_block.get(k, 0)
-        (q0 if occ == 0 else q1 if occ == 1 else q2).append(k)
-    return Occupancy(rho=rho, m=m, n=n, q0=tuple(q0), q1=tuple(q1), q2plus=tuple(q2))
 
 
 def write_cycles_csv(structure):

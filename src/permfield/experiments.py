@@ -8,8 +8,8 @@ that share no state, two-point runs its point pairs, each walking its blocks
 once over its own chunks. Conditional-tail computes its tails, by FFT
 convolution (_block_tail) and quadrature (ratefn.iid_tail); its blocks are
 transformed on config.threads workers and multiplied in block order.
-Occupancy computes the exact means of the Poisson block model, block by
-block, and samples nothing.
+The occupancy experiment computes the exact means of the Poisson block
+model, block by block, and samples nothing.
 """
 
 import math

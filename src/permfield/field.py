@@ -34,7 +34,6 @@ __all__ = [
     "log_abs_term_array",
     "term_array",
     "eval_point",
-    "split_field",
     "scan_max",
     "resolve_threads",
     "thread_map",
@@ -226,17 +225,6 @@ def eval_point(spec, t):
     ell*t in Z (threshold rule for float inputs); imaginary kind is finite.
     """
     return _residue_sum(*_lengths(spec), t, spec.kind)
-
-
-def split_field(spec, w, t):
-    """(low, high) parts of the field split at length n/W; low + high = total."""
-    n = spec.counts.size
-    if not 2 <= w <= n:
-        raise InvalidArgumentError(f"W must lie in [2, {n}], got {w}")
-    lengths, counts = _lengths(spec)
-    low = lengths <= n // w  # the cutoff is >= 1 since w <= n
-    return (_residue_sum(lengths[low], counts[low], t, spec.kind),
-            _residue_sum(lengths[~low], counts[~low], t, spec.kind))
 
 
 def resolve_threads(threads=None):

@@ -287,7 +287,9 @@ def test_non_finite_torus_point_exits_2(text, tmp_path, capsys):
 @pytest.mark.parametrize("argv, limit", [
     (["scan", "--n", "10", "--theta", f"1/{2**62}"], "int64-safe range of the scan kernel"),
     (["eval", "--t", f"1/{2**130}"], "128-bit range"),
-], ids=["scan", "eval"])
+    (["sample", "--n", "1e19"], "n = 10000000000000000000 exceeds 2^63 - 1"),
+    (["scan", "--n", "1e30"], "exceeds 2^63 - 1, the int64 range of the cycle sampler"),
+], ids=["scan", "eval", "sample-past-int64", "scan-past-int64"])
 def test_capacity_error_exits_2(argv, limit, tmp_path, capsys):
     # a CapacityError is an OverflowError, not a ValueError: no traceback, exit 2
     cycles = tmp_path / "fig.csv"

@@ -8,18 +8,17 @@ from scipy import stats
 
 from permfield.cycles import (
     CycleCounts,
+    _sample_one_over_ell,
     block_bounds,
     block_mean,
-    coarse_occupancy,
     exact_cycle_type_probability,
     harmonic_sum,
     read_cycles_csv,
-    sample_block_cycle,
     sample_cycle_structure,
     sample_poisson_counts,
     write_cycles_csv,
 )
-from permfield.errors import InvalidArgumentError
+from permfield.errors import CapacityError, InvalidArgumentError
 from permfield.streams import stream
 
 EULER_GAMMA = 0.5772156649015329
@@ -53,6 +52,18 @@ def test_sample_n1_only_fixed_point():
 def test_sample_rejects_zero():
     with pytest.raises(InvalidArgumentError):
         sample_cycle_structure(0, stream(0))
+
+
+def test_sample_size_limit_is_int64():
+    # past int64 the sampler names its bound before it draws anything;
+    # the largest int64 still samples, and the lengths add up to it
+    rng = stream(0)
+    with pytest.raises(CapacityError, match=r"n = 9223372036854775808 exceeds 2\^63 - 1"):
+        sample_cycle_structure(2**63, rng)
+    assert rng.random() == stream(0).random()
+    cs = sample_cycle_structure(2**63 - 1, stream(0))
+    assert cs.size == 2**63 - 1 and cs.total_cycles == 40
+    assert sum(ell * c for ell, c in as_dict(cs).items()) == 2**63 - 1
 
 
 def test_conservation_on_every_draw():
@@ -186,21 +197,21 @@ def test_block_cycle_two_and_singleton():
     assert (a, b) == (2, 4)
     rng = stream(21, "block23")
     draws = 40000
-    vals = sample_block_cycle(1, 0.6, rng, size=draws)
+    vals = _sample_one_over_ell(*block_bounds(1, 0.6), draws, rng)
     p2 = np.mean(vals == 2)
     sigma = math.sqrt(0.6 * 0.4 / draws)
     assert abs(p2 - 0.6) < 3 * sigma
     # singleton block {7}
     a, b = block_bounds(38, 0.05)
     assert (a, b) == (7, 8)
-    assert sample_block_cycle(38, 0.05, stream(0, "b7")) == 7
+    assert _sample_one_over_ell(*block_bounds(38, 0.05), 1, stream(0, "b7"))[0] == 7
 
 
 def test_block_cycle_chi2_matches_pmf():
     # block {10..19}, exact conditional pmf (1/ell)/rho_k
     rng = stream(23, "blockchi")
     draws = 1000000
-    vals = sample_block_cycle(3, 0.745, rng, size=draws)
+    vals = _sample_one_over_ell(*block_bounds(3, 0.745), draws, rng)
     ells = np.arange(10, 20)
     probs = (1.0 / ells) / np.sum(1.0 / ells)
     observed = np.array([(vals == ell).sum() for ell in ells])
@@ -220,7 +231,7 @@ def test_block_cycle_long_range_rejection_path():
     a2, b2 = block_bounds(k2, rho_big)
     assert b2 - a2 > 4096
     draws = 200000
-    vals = sample_block_cycle(k2, rho_big, rng, size=draws)
+    vals = _sample_one_over_ell(*block_bounds(k2, rho_big), draws, rng)
     assert vals.min() >= a2 and vals.max() < b2
     ells = np.arange(a2, b2, dtype=np.float64)
     w = (1.0 / ells) / np.sum(1.0 / ells)
@@ -232,50 +243,7 @@ def test_block_cycle_long_range_rejection_path():
 def test_block_cycle_empty_block():
     # rho=0.05, k=0: block [1, 2) contains 1; k=1: [2, 2) is empty
     with pytest.raises(InvalidArgumentError):
-        sample_block_cycle(1, 0.05, stream(0))
-
-
-def test_coarse_occupancy_trivial():
-    pc = CycleCounts.from_dict(100, {})
-    occ = coarse_occupancy(pc, 0.1, 5, 30)
-    assert occ.q0 == tuple(range(5, 30)) and occ.q1 == () and occ.q2plus == ()
-    # single length lands in exactly one block
-    pc = CycleCounts.from_dict(100, {10: 1})
-    occ = coarse_occupancy(pc, 0.1, 0, 40)
-    assert len(occ.q1) == 1
-    (k,) = occ.q1
-    a, b = block_bounds(k, 0.1)
-    assert a <= 10 < b
-
-
-def test_coarse_occupancy_matches_bruteforce():
-    rng = stream(31, "occbrute")
-    for _ in range(30):
-        rho = float(rng.uniform(0.05, 0.45))
-        pc = sample_poisson_counts(5000, rng)
-        m, n = 0, int(math.log(6000) / rho) + 2
-        occ = coarse_occupancy(pc, rho, m, n)
-        per_block = {}
-        for ell, c in zip(pc.lengths.tolist(), pc.counts.tolist()):
-            for k in range(m, n):
-                a, b = block_bounds(k, rho)
-                if a <= ell < b:
-                    per_block[k] = per_block.get(k, 0) + c
-        for k in range(m, n):
-            v = per_block.get(k, 0)
-            if v == 0:
-                assert k in occ.q0
-            elif v == 1:
-                assert k in occ.q1
-            else:
-                assert k in occ.q2plus
-
-
-def test_occupancy_partition_validated():
-    with pytest.raises(InvalidArgumentError):
-        from permfield.cycles import Occupancy
-
-        Occupancy(rho=0.1, m=0, n=3, q0=(0,), q1=(1,), q2plus=())
+        _sample_one_over_ell(*block_bounds(1, 0.05), 1, stream(0))
 
 
 def test_csv_roundtrip_exact():

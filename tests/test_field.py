@@ -32,7 +32,6 @@ from permfield.field import (
     log_abs_term,
     log_abs_term_array,
     scan_max,
-    split_field,
     term_array,
     write_trace_csv,
 )
@@ -86,34 +85,6 @@ def test_pointwise_upper_bound():
         t = float(rng.random())
         v = eval_point(FieldSpec(counts=cs), t)
         assert v <= math.log(2) * cs.total_cycles + 1e-9
-
-
-def test_split_field_consistency():
-    rng = stream(67, "split")
-    for _ in range(1000):
-        n = int(rng.integers(4, 300))
-        cs = sample_cycle_structure(n, rng)
-        w = int(rng.integers(2, n + 1))
-        t = float(rng.random())
-        trunc = None if rng.random() < 0.5 else int(rng.integers(1, n + 1))
-        spec = FieldSpec(counts=cs, truncation=trunc)
-        low, high = split_field(spec, w, t)
-        total = eval_point(spec, t)
-        if total == NEG_INF:
-            assert low + high == NEG_INF
-        else:
-            assert low + high == pytest.approx(total, abs=1e-9)
-        # high part bounded by log2 times the number of high cycles
-        cutoff = n // w
-        high_cycles = int(cs.counts[cs.lengths > cutoff].sum())
-        assert high <= math.log(2) * high_cycles + 1e-9
-
-
-def test_split_field_boundary_w_equals_n():
-    cs = CycleCounts.from_dict(10, {1: 2, 3: 1, 5: 1})
-    low, high = split_field(FieldSpec(counts=cs), 10, 0.37)
-    # low covers only fixed points
-    assert low == pytest.approx(2 * log_abs_term(0.37), abs=1e-12)
 
 
 def test_eval_point_exact_rational_vs_mpmath():
