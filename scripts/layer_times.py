@@ -17,6 +17,7 @@ and the pairs the change won.
 
 import argparse
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -160,6 +161,21 @@ def rate():
     return out
 
 
+def clt():
+    """ms of the default clt run."""
+    from permfield import experiments
+    config = experiments.default_config("clt", seed=0)
+    return {"clt.run_ms": _median_ns(lambda: experiments.run_clt_check(config), 1) / 1e6}
+
+
+def clt_mean():
+    """ms of clt's finite-size mean, `poisson_mean` at N = 10^6 and the golden point, per kind."""
+    from permfield import experiments, field
+    return {f"clt.poisson_mean_ms.{kind}": _median_ns(
+        lambda: field.poisson_mean(10**6, experiments.GOLDEN, kind), 1) / 1e6
+        for kind in ("real", "imag")}
+
+
 def arc_profile():
     """ms of the 200 ranged scans of the default arc-profile run at seed 1, their terms and
     bounds, and ns per evaluated term."""
@@ -218,21 +234,30 @@ def peak_rss(name):
     return {f"peak_rss_mb.{name}": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
-# group -> (function, the arguments of each interpreter it runs in, the functions of
-# `experiments` it needs); an untraced scan runs on its caller's thread at any count
+# group -> (function, the arguments of each interpreter it runs in, the functions it
+# needs, as module.name in the package); an untraced scan runs on its caller's thread
+# at any count
 GROUPS = {
-    "two_point": (two_point, [()], ("guide_index",)),
+    "two_point": (two_point, [()], ("experiments.guide_index",)),
     "occupancy": (occupancy, [()], ()),
-    "exact_tail": (exact_tail, [()], ("_block_tail",)),
+    "exact_tail": (exact_tail, [()], ("experiments._block_tail",)),
     "rate": (rate, [()], ()),
+    "clt": (clt, [()], ()),
+    "clt_mean": (clt_mean, [()], ("field.poisson_mean",)),
     "arc_profile": (arc_profile, [()], ()),
     "scan": (scan, [(n, kind, threads, traced) for n in (10**6, 10**7, 10**8)
                     for kind in ("real", "imag")
                     for threads, traced in [(0, False)] + [(t, True) for t in THREADS]
                     if n <= TRACED_MAX or not traced], ()),
     "peak_rss": (peak_rss, [(name,) for name in ("conditional-tail", "two-point", "lln",
-                                                  "arc-profile")], ()),
+                                                  "arc-profile", "clt")], ()),
 }
+
+
+def _lacks(need):
+    """Whether the package on the path lacks `need`, a module.name of it."""
+    module, name = need.split(".")
+    return not hasattr(importlib.import_module(f"permfield.{module}"), name)
 
 
 def _run_in(tree, script, *args):
@@ -346,10 +371,9 @@ def main(argv=None):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--group"]:  # one group's figures, in this interpreter
-        from permfield import experiments
         group, _, needs = GROUPS[sys.argv[2]]
-        missing = ", ".join(name for name in needs if not hasattr(experiments, name))
-        print(json.dumps({"absent": f"experiments lacks {missing}"} if missing
+        missing = ", ".join(need for need in needs if _lacks(need))
+        print(json.dumps({"absent": f"permfield lacks {missing}"} if missing
                          else {"figures": group(*json.loads(sys.argv[3]))}))
     else:
         main()

@@ -15,7 +15,9 @@ README example, and the grid of the benchmark's analytic part). The runs are
 the reduced configurations of acceptance criterion 14 at seed 12 with 1
 and 2 threads, the default seed-1 conditional-tail, two-point and
 arc-profile reports, the default seed-4 lln and imag reports, the default
-seed-1 occupancy report, and the default seed-1 conditional-tail,
+seed-1 occupancy report, the default seed-18 clt report (its finite-size
+mean at N = 10^6 is the one default sum that ``field.poisson_mean`` adds
+up from more than one piece), and the default seed-1 conditional-tail,
 two-point and occupancy reports again at 1 thread (in the lines without a
 thread count, conditional-tail's 32 block transforms and two-point's 12
 point pairs run on the automatic thread count; occupancy computes its
@@ -47,7 +49,7 @@ REDUCED = {
     "occupancy": dict(replicas=500),
 }
 DEFAULTS = [("conditional-tail", 1), ("two-point", 1), ("arc-profile", 1),
-            ("lln", 4), ("imag", 4), ("occupancy", 1)]
+            ("lln", 4), ("imag", 4), ("occupancy", 1), ("clt", 18)]
 SERIAL = ["conditional-tail", "two-point", "occupancy"]  # seed 1, 1 thread
 
 

@@ -36,9 +36,9 @@ from .field import (
     Mesh,
     eval_point,
     log_abs_term_array,
+    poisson_mean,
     resolve_threads,
     scan_max,
-    term_array,
     thread_map,
 )
 from .reports import ExperimentConfig, ExperimentReport
@@ -296,9 +296,7 @@ def run_clt_check(config):
     # field, a convergent constant, would dominate the statistic)
     standardized = (arr - arr.mean()) / arr.std(ddof=1)
     ks = float(sstats.kstest(standardized, "norm").statistic)
-    ell = np.arange(1, n + 1, dtype=np.int64)
-    terms = term_array(np.mod(ell * float(point), 1.0), 1.0, config.kind)
-    det_mean = float((terms / ell).sum())
+    det_mean = poisson_mean(n, float(point), config.kind)
     report.cells.append({
         "n": int(n), "degenerate": False, "t": repr(float(point)),
         "kind": config.kind, "normalized": _stats(normalized),

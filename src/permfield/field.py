@@ -33,6 +33,7 @@ __all__ = [
     "arg_term",
     "log_abs_term_array",
     "term_array",
+    "poisson_mean",
     "eval_point",
     "scan_max",
     "resolve_threads",
@@ -50,6 +51,7 @@ BOUND_SPAN = 1 << 22  # mesh points per window of the unpruned 4096-run bound pa
 RUNS = (4096, 64)  # run lengths of the bound passes, coarse to fine
 BEST = (4, 16)  # best runs of each length whose points set the threshold
 LENGTH_GROUP = 32  # lengths per vectorized step of a bound pass
+MEAN_PIECE = 1 << 15  # most lengths per piece of poisson_mean: 256 KB stays in cache
 _PEAK = {"real": math.log(2.0), "imag": math.pi / 2.0}  # the supremum of each term
 INT128_LIMIT = 1 << 127
 INT64_SAFE = 1 << 62
@@ -139,6 +141,25 @@ def log_abs_term_array(lengths, t):
     u = np.multiply(lengths, t, dtype=np.float64)
     u -= np.floor(u)
     return term_array(u, 1.0, "real")
+
+
+def poisson_mean(n, t, kind):
+    """Poisson-model mean sum_{ell <= n} term(ell t mod 1) / ell at a float t.
+
+    Bit for bit float((term_array(np.mod(ell * t, 1.0), 1.0, kind) / ell).sum())
+    over ell = 1..n, in pieces of at most MEAN_PIECE lengths: [1, n] splits
+    where numpy's pairwise sum splits an array, so the piece sums add up alike.
+    """
+    def total(lo, hi):
+        if hi - lo > max(MEAN_PIECE, 128):  # numpy: half, down to a multiple of 8
+            mid = lo + (hi - lo) // 16 * 8
+            return total(lo, mid) + total(mid, hi)
+        ell = np.arange(lo, hi, dtype=np.int64)
+        x = ell * t  # x - floor(x) is np.mod(x, 1.0) bit for bit, at a fraction of its cost
+        terms = term_array(x - np.floor(x), 1.0, kind)
+        terms /= ell
+        return terms.sum()
+    return float(total(1, n + 1))
 
 
 def term_array(num, den, kind):

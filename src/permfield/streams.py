@@ -7,6 +7,7 @@ independent stream whose draws do not depend on scheduling or thread count.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,9 +18,13 @@ def _label_to_int(label):
     if isinstance(label, (int, np.integer)):
         return int(label) & _MASK64
     if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
+        return _string_label(label)
     raise TypeError(f"stream path labels must be int or str, got {type(label)!r}")
+
+
+@lru_cache(maxsize=1024)  # a run hashes the same few names on every stream() call
+def _string_label(label):
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 
 
 def stream(seed, *path):

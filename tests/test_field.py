@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +32,7 @@ from permfield.field import (
     eval_point,
     log_abs_term,
     log_abs_term_array,
+    poisson_mean,
     scan_max,
     term_array,
     write_trace_csv,
@@ -650,3 +652,53 @@ def test_log_abs_term_array_matches_the_mod_residue(lengths, t):
     reference = term_array(np.mod(lengths.astype(np.float64) * t, 1.0), 1.0, "real")
     got = log_abs_term_array(lengths, t)
     assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+def _one_shot_mean(n, t, kind):
+    """The finite-size mean as clt computed it in one piece."""
+    ell = np.arange(1, n + 1, dtype=np.int64)
+    return float((term_array(np.mod(ell * t, 1.0), 1.0, kind) / ell).sum())
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), kind=st.sampled_from(["real", "imag"]),
+       t=st.one_of(st.floats(-1e3, -1e-300, allow_nan=False),
+                   st.sampled_from([1e-12, -1e-12, 0.5, 1.0 / 3.0, GOLDEN, 0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False)))
+@example(n=5000, kind="real", t=GOLDEN)
+@example(n=129, kind="imag", t=-1e-12)
+def test_poisson_mean_matches_the_one_shot_sum(n, kind, t):
+    # 64-length pieces, so that n up to 5000 splits up to six levels deep:
+    # every bit of the one-shot numpy sum, the sign of a zero and -inf included
+    with mock.patch.object(field, "MEAN_PIECE", 64):
+        got = poisson_mean(n, t, kind)
+    assert _bits(got) == _bits(_one_shot_mean(n, t, kind))
+
+
+@pytest.mark.parametrize("n", [10**6, 2**20 + 3])
+@pytest.mark.parametrize("kind", ["real", "imag"])
+@pytest.mark.parametrize("t", [GOLDEN, 0.123456789])
+def test_poisson_mean_matches_the_one_shot_sum_in_many_pieces(n, kind, t):
+    # 32 or more pieces of the default size: a numpy whose pairwise sum
+    # splits otherwise fails here rather than moving the clt report
+    assert _bits(poisson_mean(n, t, kind)) == _bits(_one_shot_mean(n, t, kind))
+
+
+def test_poisson_mean_memory_stays_in_pieces():
+    peaks = []
+    for mean in (poisson_mean, _one_shot_mean):
+        tracemalloc.start()
+        try:
+            mean(10**6, GOLDEN, "real")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 << 20
+    assert peaks[1] > 16 << 20  # tracemalloc sees numpy's arrays
